@@ -33,7 +33,8 @@ class RDD;
 template <typename T>
 class Broadcast;
 
-/// Cap on map-side-combine hash reservations (RDD reduce_by_key and the
+/// Cap on map-side-combine hash reservations (detail::combine_values in
+/// engine/rdd.h, shared by reduce_by_key, aggregate_by_key and the
 /// MapReduce combiner). Reserving one slot per *input pair* is right when
 /// keys are mostly distinct, but in counting workloads (pass-2 Apriori:
 /// millions of hits, tens of thousands of distinct candidates) it allocates
@@ -172,15 +173,14 @@ class Context {
   void add_pending_broadcast(u64 bytes) { pending_broadcast_ += bytes; }
 
   /// Execute `body(0..ntasks-1)` on the pool, measure per-task work, and
-  /// record a StageRecord. `shuffle_bytes` may be filled in by the caller
-  /// after the fact via the returned record's index -- reduce_by_key uses
-  /// run_stage_with_shuffle instead.
+  /// record a StageRecord with no shuffle bytes (actions, reduce stages).
   void run_stage(const std::string& label, u32 ntasks,
                  const std::function<void(u32)>& body);
 
   /// As run_stage, but also records shuffle bytes produced by the stage.
   /// `shuffle_bytes` is read after the tasks complete, so the body may
-  /// accumulate into it.
+  /// accumulate into it. Only the shuffle core's map stage
+  /// (detail::ShuffleMap in engine/rdd.h) calls this.
   void run_stage_with_shuffle(const std::string& label, u32 ntasks,
                               const std::function<void(u32)>& body,
                               const std::atomic<u64>& shuffle_bytes);

@@ -4,9 +4,12 @@
 // * Narrow transformations (map/flatMap/filter/mapPartitions/union/sample)
 //   build lineage nodes and are fused at execution: one task computes the
 //   whole operator chain for one partition, exactly like a Spark stage.
-// * Wide operations (reduce_by_key) are stage boundaries: they execute a
-//   map-side-combine stage, hash-partition the results (accounting shuffle
-//   bytes), and run a reduce stage into a new materialized RDD.
+// * Wide operations (reduce_by_key, group_by_key, join, sort_by_key,
+//   sum_arrays, ...) are stage boundaries. All of them run one shuffle
+//   core (detail::ShuffleMap): a map stage that combines or routes each
+//   partition into reduce buckets (accounting shuffle bytes), the memory
+//   ledger and spill step, then the operator's reduce stage into a new
+//   materialized RDD.
 // * persist() caches computed partitions in (simulated) executor memory;
 //   a partition lost to fault injection -- or LRU-evicted under a finite
 //   executor memory budget -- is transparently recomputed from lineage
@@ -18,7 +21,6 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -96,24 +98,33 @@ size_t detsan_first_unmatched(const std::vector<U>& primary,
   return primary.size();
 }
 
-/// Element-wise operators (map/flat_map/filter): a pure closure over a
-/// permuted input must produce the permuted -- i.e. multiset-equal --
-/// output.
-template <typename U>
-void detsan_check_multiset(DetSan& ds, u32 node_id, const char* op,
-                           const std::vector<U>& primary,
-                           const std::vector<U>& replay) {
-  ds.note_replayed();
-  if (util::canon_hash_unordered(primary) ==
-      util::canon_hash_unordered(replay)) {
-    return;
+/// Element-wise operators (map/flat_map/filter): re-runs a sampled task's
+/// `emit(x, out)` over a permuted input; a pure closure must produce the
+/// permuted -- i.e. multiset-equal -- output.
+template <typename T, typename U, typename Emit>
+void detsan_replay_elementwise(DetSan& ds, u32 node_id, u32 pid,
+                               const char* op, const std::vector<T>& in,
+                               const std::vector<U>& primary,
+                               const Emit& emit) {
+  if constexpr (util::is_canon_hashable_v<U>) {
+    if (!ds.should_replay(node_id, pid)) return;
+    std::vector<U> replay;
+    replay.reserve(primary.size());
+    for (u32 i : DetSan::permutation(in.size(), ds.replay_seed(node_id, pid))) {
+      emit(in[i], replay);
+    }
+    ds.note_replayed();
+    if (util::canon_hash_unordered(primary) ==
+        util::canon_hash_unordered(replay)) {
+      return;
+    }
+    const size_t at = detsan_first_unmatched(primary, replay);
+    ds.report_divergence(node_id, op,
+                         "element index " + std::to_string(at) + " of " +
+                             std::to_string(primary.size()) +
+                             " (replay produced " +
+                             std::to_string(replay.size()) + " element(s))");
   }
-  const size_t at = detsan_first_unmatched(primary, replay);
-  ds.report_divergence(node_id, op,
-                       "element index " + std::to_string(at) + " of " +
-                           std::to_string(primary.size()) +
-                           " (replay produced " +
-                           std::to_string(replay.size()) + " element(s))");
 }
 
 /// Order-contractual operators (map_partitions, sum_arrays accumulators):
@@ -141,15 +152,16 @@ void detsan_check_ordered(DetSan& ds, u32 node_id, const char* op,
                            std::to_string(primary.size()));
 }
 
-/// Map-side combine accumulators (reduce_by_key / aggregate_by_key): the
-/// key -> accumulated-value maps of the primary and the permuted-order
-/// replay must agree as multisets of (key, value) pairs -- this is exactly
-/// the engine's commutativity contract for the combine fn, and it also
-/// catches hash-map iteration order leaking *into* the values.
-template <typename K, typename V, typename Hash>
-void detsan_check_kv(DetSan& ds, u32 node_id, const char* op,
-                     const std::unordered_map<K, V, Hash>& primary,
-                     const std::unordered_map<K, V, Hash>& replay) {
+/// Map-side combine accumulators (combine_values): the key ->
+/// accumulated-value maps of the primary and the permuted-order replay must
+/// agree as multisets of (key, value) pairs -- this is exactly the engine's
+/// commutativity contract for the combine fn, and it also catches hash-map
+/// iteration order leaking *into* the values. `report(element)` files the
+/// divergence under the caller's node or job.
+template <typename K, typename V, typename Hash, typename Report>
+void detsan_check_kv(DetSan& ds, const std::unordered_map<K, V, Hash>& primary,
+                     const std::unordered_map<K, V, Hash>& replay,
+                     const Report& report) {
   ds.note_replayed();
   if (util::canon_hash_unordered(primary) ==
       util::canon_hash_unordered(replay)) {
@@ -161,18 +173,15 @@ void detsan_check_kv(DetSan& ds, u32 node_id, const char* op,
         util::canon_hash_value(it->second) == util::canon_hash_value(v)) {
       continue;
     }
-    ds.report_divergence(
-        node_id, op,
-        std::string(it == replay.end() ? "key missing from replay"
-                                       : "combined value for key") +
-            " (key hash " + std::to_string(util::canon_hash_value(k)) + ", " +
-            std::to_string(primary.size()) + " vs " +
-            std::to_string(replay.size()) + " key(s))");
+    report(std::string(it == replay.end() ? "key missing from replay"
+                                          : "combined value for key") +
+           " (key hash " + std::to_string(util::canon_hash_value(k)) + ", " +
+           std::to_string(primary.size()) + " vs " +
+           std::to_string(replay.size()) + " key(s))");
     return;
   }
-  ds.report_divergence(node_id, op,
-                       "replay-only key(s): " + std::to_string(replay.size()) +
-                           " vs " + std::to_string(primary.size()));
+  report("replay-only key(s): " + std::to_string(replay.size()) + " vs " +
+         std::to_string(primary.size()));
 }
 
 /// Partition fold (RDD::reduce): an associative + commutative f reaches
@@ -376,25 +385,15 @@ class MapNode final : public Node<U> {
 
   std::vector<U> compute(u32 pid) override {
     auto in = parent_->get(pid);
-    std::vector<U> out;
-    out.reserve(in->size());
-    for (const T& x : *in) {
+    auto emit = [this](const T& x, std::vector<U>& out) {
       work::add(1);
       out.push_back(f_(x));
-    }
-    if constexpr (util::is_canon_hashable_v<U>) {
-      DetSan& ds = this->ctx().detsan();
-      if (ds.should_replay(this->id(), pid)) {
-        std::vector<U> replay;
-        replay.reserve(in->size());
-        for (u32 i : DetSan::permutation(in->size(),
-                                         ds.replay_seed(this->id(), pid))) {
-          work::add(1);
-          replay.push_back(f_((*in)[i]));
-        }
-        detsan_check_multiset(ds, this->id(), "map", out, replay);
-      }
-    }
+    };
+    std::vector<U> out;
+    out.reserve(in->size());
+    for (const T& x : *in) emit(x, out);
+    detsan_replay_elementwise(this->ctx().detsan(), this->id(), pid, "map",
+                              *in, out, emit);
     return out;
   }
 
@@ -415,27 +414,16 @@ class FlatMapNode final : public Node<U> {
 
   std::vector<U> compute(u32 pid) override {
     auto in = parent_->get(pid);
-    std::vector<U> out;
-    for (const T& x : *in) {
+    auto emit = [this](const T& x, std::vector<U>& out) {
       auto produced = f_(x);
       work::add(1 + produced.size());
       out.insert(out.end(), std::make_move_iterator(produced.begin()),
                  std::make_move_iterator(produced.end()));
-    }
-    if constexpr (util::is_canon_hashable_v<U>) {
-      DetSan& ds = this->ctx().detsan();
-      if (ds.should_replay(this->id(), pid)) {
-        std::vector<U> replay;
-        for (u32 i : DetSan::permutation(in->size(),
-                                         ds.replay_seed(this->id(), pid))) {
-          auto produced = f_((*in)[i]);
-          work::add(1 + produced.size());
-          replay.insert(replay.end(), std::make_move_iterator(produced.begin()),
-                        std::make_move_iterator(produced.end()));
-        }
-        detsan_check_multiset(ds, this->id(), "flat_map", out, replay);
-      }
-    }
+    };
+    std::vector<U> out;
+    for (const T& x : *in) emit(x, out);
+    detsan_replay_elementwise(this->ctx().detsan(), this->id(), pid,
+                              "flat_map", *in, out, emit);
     return out;
   }
 
@@ -456,24 +444,14 @@ class FilterNode final : public Node<T> {
 
   std::vector<T> compute(u32 pid) override {
     auto in = parent_->get(pid);
-    std::vector<T> out;
-    for (const T& x : *in) {
+    auto emit = [this](const T& x, std::vector<T>& out) {
       work::add(1);
       if (f_(x)) out.push_back(x);
-    }
-    if constexpr (util::is_canon_hashable_v<T>) {
-      DetSan& ds = this->ctx().detsan();
-      if (ds.should_replay(this->id(), pid)) {
-        std::vector<T> replay;
-        for (u32 i : DetSan::permutation(in->size(),
-                                         ds.replay_seed(this->id(), pid))) {
-          work::add(1);
-          const T& x = (*in)[i];
-          if (f_(x)) replay.push_back(x);
-        }
-        detsan_check_multiset(ds, this->id(), "filter", out, replay);
-      }
-    }
+    };
+    std::vector<T> out;
+    for (const T& x : *in) emit(x, out);
+    detsan_replay_elementwise(this->ctx().detsan(), this->id(), pid, "filter",
+                              *in, out, emit);
     return out;
   }
 
@@ -697,8 +675,8 @@ class ZipWithIndexNode final : public Node<std::pair<T, u64>> {
 //
 // Only the element shapes the engine actually spills need a wire format:
 // arithmetic scalars, vectors of spillable elements, and pairs of
-// spillable halves. Shuffles over any other type keep the in-memory path
-// (`if constexpr (is_spillable_v<T>)` at the call sites).
+// spillable halves. Blocks of any other shape stay on the ledger but in
+// memory (ShuffleSpill::round_trip).
 
 template <typename T>
 struct SpillFormat : std::bool_constant<std::is_arithmetic_v<T>> {};
@@ -710,83 +688,62 @@ struct SpillFormat<std::pair<A, B>>
 template <typename T>
 inline constexpr bool is_spillable_v = SpillFormat<T>::value;
 
+/// Appends the wire bytes of a spillable value: raw arithmetic bytes, a
+/// u64 length before vector elements, pair halves in order.
 template <typename T>
-  requires std::is_arithmetic_v<T>
-void spill_put(std::vector<u8>& out, const T& v);
-template <typename E>
-void spill_put(std::vector<u8>& out, const std::vector<E>& v);
-template <typename A, typename B>
-void spill_put(std::vector<u8>& out, const std::pair<A, B>& v);
-
-template <typename T>
-  requires std::is_arithmetic_v<T>
 void spill_put(std::vector<u8>& out, const T& v) {
-  const u8* b = reinterpret_cast<const u8*>(&v);
-  out.insert(out.end(), b, b + sizeof(T));
-}
-
-template <typename E>
-void spill_put(std::vector<u8>& out, const std::vector<E>& v) {
-  spill_put(out, static_cast<u64>(v.size()));
-  if constexpr (std::is_arithmetic_v<E>) {
-    const u8* b = reinterpret_cast<const u8*>(v.data());
-    out.insert(out.end(), b, b + v.size() * sizeof(E));
+  if constexpr (std::is_arithmetic_v<T>) {
+    const u8* b = reinterpret_cast<const u8*>(&v);
+    out.insert(out.end(), b, b + sizeof(T));
+  } else if constexpr (PairTraits<T>::is_pair) {
+    spill_put(out, v.first);
+    spill_put(out, v.second);
   } else {
-    for (const E& e : v) spill_put(out, e);
+    using E = typename T::value_type;
+    spill_put(out, static_cast<u64>(v.size()));
+    if constexpr (std::is_arithmetic_v<E>) {
+      const u8* b = reinterpret_cast<const u8*>(v.data());
+      out.insert(out.end(), b, b + v.size() * sizeof(E));
+    } else {
+      for (const E& e : v) spill_put(out, e);
+    }
   }
 }
 
-template <typename A, typename B>
-void spill_put(std::vector<u8>& out, const std::pair<A, B>& v) {
-  spill_put(out, v.first);
-  spill_put(out, v.second);
-}
-
+/// Reads back what spill_put wrote, advancing `pos`.
 template <typename T>
-  requires std::is_arithmetic_v<T>
-void spill_get(std::span<const u8> in, size_t& pos, T& v);
-template <typename E>
-void spill_get(std::span<const u8> in, size_t& pos, std::vector<E>& v);
-template <typename A, typename B>
-void spill_get(std::span<const u8> in, size_t& pos, std::pair<A, B>& v);
-
-template <typename T>
-  requires std::is_arithmetic_v<T>
 void spill_get(std::span<const u8> in, size_t& pos, T& v) {
-  YAFIM_CHECK(pos + sizeof(T) <= in.size(), "spill: truncated block");
-  std::memcpy(&v, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-}
-
-template <typename E>
-void spill_get(std::span<const u8> in, size_t& pos, std::vector<E>& v) {
-  u64 n = 0;
-  spill_get(in, pos, n);
-  v.clear();
-  if constexpr (std::is_arithmetic_v<E>) {
-    YAFIM_CHECK(pos + n * sizeof(E) <= in.size(), "spill: truncated block");
-    v.resize(static_cast<size_t>(n));
-    std::memcpy(v.data(), in.data() + pos, n * sizeof(E));
-    pos += n * sizeof(E);
+  if constexpr (std::is_arithmetic_v<T>) {
+    YAFIM_CHECK(pos + sizeof(T) <= in.size(), "spill: truncated block");
+    std::memcpy(&v, in.data() + pos, sizeof(T));
+    pos += sizeof(T);
+  } else if constexpr (PairTraits<T>::is_pair) {
+    spill_get(in, pos, v.first);
+    spill_get(in, pos, v.second);
   } else {
+    using E = typename T::value_type;
+    u64 n = 0;
+    spill_get(in, pos, n);
+    v.clear();
     v.resize(static_cast<size_t>(n));
-    for (u64 i = 0; i < n; ++i) spill_get(in, pos, v[i]);
+    if constexpr (std::is_arithmetic_v<E>) {
+      YAFIM_CHECK(pos + n * sizeof(E) <= in.size(), "spill: truncated block");
+      std::memcpy(v.data(), in.data() + pos, n * sizeof(E));
+      pos += n * sizeof(E);
+    } else {
+      for (E& e : v) spill_get(in, pos, e);
+    }
   }
 }
 
-template <typename A, typename B>
-void spill_get(std::span<const u8> in, size_t& pos, std::pair<A, B>& v) {
-  spill_get(in, pos, v.first);
-  spill_get(in, pos, v.second);
-}
-
-/// Per-shuffle spill controller. `Block` is one map task's buffered output
-/// (a partial array for sum_arrays, the per-reduce bucket vector for
-/// keyed shuffles). Lifecycle, driver thread only:
-///   note_buffered(bytes)   -- admit the stage's buffers into the ledger
-///   maybe_spill(blocks)    -- serialize + write + free if over budget
-///   restore(blocks)        -- read back + deserialize before the reduce
-/// The destructor releases the ledger bytes and removes the spill files.
+/// Per-shuffle ledger and spill controller, driven by the shuffle core
+/// below (ShuffleMap) and by MapReduce jobs (mapreduce/job.h). `Block` is
+/// one map task's buffered output: the per-reduce bucket vector of a keyed
+/// shuffle, or the dense partial array of sum_arrays. round_trip() admits
+/// the blocks to the memory ledger and, over budget, serializes, writes
+/// and frees them, then reads them back (deleting each spill file) for the
+/// reduce side. Blocks that never spilled stay on the ledger until the
+/// destructor, i.e. until the reduce that consumes them is done.
 template <typename Block>
 class ShuffleSpill {
  public:
@@ -797,103 +754,89 @@ class ShuffleSpill {
   ShuffleSpill& operator=(const ShuffleSpill&) = delete;
 
   ~ShuffleSpill() {
-    if (buffered_ && !spilled_) {
-      ctx_.memory_budget().release_shuffle_buffered(buffered_);
-    }
-    if (spilled_) {
-      for (const std::string& path : paths_) ctx_.spill_fs()->remove(path);
+    if (buffered_) ctx_.memory_budget().release_shuffle_buffered(buffered_);
+  }
+
+  /// Driver thread, once per shuffle, between its map and reduce stages.
+  void round_trip(u64 buffered_bytes, std::vector<Block>& blocks) {
+    buffered_ = buffered_bytes;
+    if (buffered_) ctx_.memory_budget().note_shuffle_buffered(buffered_);
+    if constexpr (is_spillable_v<Block>) {
+      if (ctx_.should_spill(buffered_)) spill_and_restore(blocks);
     }
   }
 
-  void note_buffered(u64 bytes) {
-    buffered_ = bytes;
-    if (bytes) ctx_.memory_budget().note_shuffle_buffered(bytes);
-  }
-
-  bool spilled() const { return spilled_; }
-
-  void maybe_spill(std::vector<Block>& blocks) {
-    if (!ctx_.should_spill(buffered_)) return;
+ private:
+  void spill_and_restore(std::vector<Block>& blocks) {
     simfs::SimFS& fs = *ctx_.spill_fs();
-    compress_ = ctx_.spill_compress();
+    const bool compress = ctx_.spill_compress();
     const std::string prefix =
         "spill/" + label_ + "-" + std::to_string(ctx_.next_spill_id()) + "/";
+    auto path = [&](size_t i) { return prefix + "block-" + std::to_string(i); };
     u64 raw_total = 0;
     u64 stored_total = 0;
-    paths_.reserve(blocks.size());
     for (size_t i = 0; i < blocks.size(); ++i) {
       std::vector<u8> bytes;
       spill_put(bytes, blocks[i]);
-      // Serialize-twice check: a block whose wire bytes differ across two
-      // serializations of the same data carries uninitialized or
-      // address-dependent bytes. Host-only (no work::add): the sim prices
-      // the spill itself via record_io, not the encoder's determinism.
-      DetSan& ds = ctx_.detsan();
-      if (ds.enabled() &&
-          ds.should_replay(static_cast<u32>(mix64(
-                               xxh64(label_.data(), label_.size(), 0))),
-                           static_cast<u32>(i))) {
-        std::vector<u8> again;
-        spill_put(again, blocks[i]);
-        ds.note_replayed();
-        if (xxh64(bytes.data(), bytes.size(), 0) !=
-            xxh64(again.data(), again.size(), 0)) {
-          size_t at = std::min(bytes.size(), again.size());
-          for (size_t b = 0; b < std::min(bytes.size(), again.size()); ++b) {
-            if (bytes[b] != again[b]) {
-              at = b;
-              break;
-            }
-          }
-          ds.report_divergence_raw(
-              "spill block '" + label_ + "' #" + std::to_string(i),
-              "spill-serialize",
-              "byte offset " + std::to_string(at) + " of " +
-                  std::to_string(bytes.size()));
-        }
-      }
+      check_serialization(i, blocks[i], bytes);
       const u64 raw = bytes.size();
-      if (compress_) bytes = yz_compress(bytes);
+      if (compress) bytes = yz_compress(bytes);
       const u64 stored = bytes.size();
-      const std::string path = prefix + "block-" + std::to_string(i);
-      fs.write(path, std::move(bytes));
+      fs.write(path(i), std::move(bytes));
       ctx_.memory_budget().note_spill_write(raw, stored);
       raw_total += raw;
       stored_total += stored;
-      paths_.push_back(path);
       Block().swap(blocks[i]);  // the buffer is on disk now; free it
     }
-    record_io(label_ + ":spill", /*write=*/true, raw_total, stored_total);
+    record_io(":spill", /*write=*/true, raw_total, stored_total,
+              blocks.size(), compress);
     ctx_.memory_budget().release_shuffle_buffered(buffered_);
-    raw_total_ = raw_total;
-    stored_total_ = stored_total;
-    spilled_ = true;
-  }
+    buffered_ = 0;
 
-  void restore(std::vector<Block>& blocks) {
-    if (!spilled_) return;
-    simfs::SimFS& fs = *ctx_.spill_fs();
-    YAFIM_CHECK(paths_.size() == blocks.size(), "spill: block count changed");
-    for (size_t i = 0; i < paths_.size(); ++i) {
-      std::vector<u8> bytes = fs.read(paths_[i]);
-      if (compress_) bytes = yz_decompress(bytes);
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      std::vector<u8> bytes = fs.read(path(i));
+      fs.remove(path(i));
+      if (compress) bytes = yz_decompress(bytes);
       size_t pos = 0;
       spill_get(std::span<const u8>(bytes), pos, blocks[i]);
       YAFIM_CHECK(pos == bytes.size(), "spill: trailing bytes in block");
       ctx_.memory_budget().note_spill_read(bytes.size());
     }
-    record_io(label_ + ":spill-read", /*write=*/false, raw_total_,
-              stored_total_);
+    record_io(":spill-read", /*write=*/false, raw_total, stored_total,
+              blocks.size(), compress);
   }
 
- private:
+  /// Serialize-twice check: a block whose wire bytes differ across two
+  /// serializations of the same data carries uninitialized or
+  /// address-dependent bytes. Host-only (no work::add): the sim prices
+  /// the spill itself via record_io, not the encoder's determinism.
+  void check_serialization(size_t i, const Block& block,
+                           const std::vector<u8>& bytes) {
+    DetSan& ds = ctx_.detsan();
+    const u32 id = static_cast<u32>(mix64(xxh64(label_.data(), label_.size())));
+    if (!ds.should_replay(id, static_cast<u32>(i))) return;
+    std::vector<u8> again;
+    spill_put(again, block);
+    ds.note_replayed();
+    if (bytes == again) return;
+    const size_t at =
+        std::mismatch(bytes.begin(), bytes.end(), again.begin(), again.end())
+            .first -
+        bytes.begin();
+    ds.report_divergence_raw(
+        "spill block '" + label_ + "' #" + std::to_string(i),
+        "spill-serialize",
+        "byte offset " + std::to_string(at) + " of " +
+            std::to_string(bytes.size()));
+  }
+
   /// Price one side of the spill round trip: DFS I/O of the stored bytes
   /// plus the codec CPU over the raw bytes (cluster spill_*_work_per_kb).
-  void record_io(const std::string& stage_label, bool write, u64 raw_bytes,
-                 u64 stored_bytes) {
+  void record_io(const char* suffix, bool write, u64 raw_bytes,
+                 u64 stored_bytes, size_t nblocks, bool compress) {
     const sim::ClusterConfig& cluster = ctx_.cluster();
     sim::StageRecord rec;
-    rec.label = stage_label;
+    rec.label = label_ + suffix;
     rec.kind = sim::StageKind::kSparkStage;
     rec.pass = ctx_.pass();
     if (write) {
@@ -901,11 +844,11 @@ class ShuffleSpill {
     } else {
       rec.dfs_read_bytes = stored_bytes;
     }
-    const u64 work_per_kb = compress_ ? (write ? cluster.spill_compress_work_per_kb
-                                               : cluster.spill_decompress_work_per_kb)
-                                      : 0;
+    const u64 work_per_kb = compress ? (write ? cluster.spill_compress_work_per_kb
+                                              : cluster.spill_decompress_work_per_kb)
+                                     : 0;
     const u32 tasks = static_cast<u32>(std::max<size_t>(
-        1, std::min<size_t>(paths_.size(), ctx_.default_partitions())));
+        1, std::min<size_t>(nblocks, ctx_.default_partitions())));
     rec.tasks = sim::split_work((raw_bytes / 1024) * work_per_kb, tasks);
     ctx_.record(std::move(rec));
   }
@@ -913,11 +856,156 @@ class ShuffleSpill {
   Context& ctx_;
   std::string label_;
   u64 buffered_ = 0;
-  bool spilled_ = false;
-  bool compress_ = false;
-  u64 raw_total_ = 0;
-  u64 stored_total_ = 0;
-  std::vector<std::string> paths_;
+};
+
+// --- the shuffle core -----------------------------------------------------
+//
+// Every wide operator, and every MapReduce job (mapreduce/job.h), moves
+// data the same way: a map task folds or copies its partition into one
+// block -- reduce buckets for a keyed shuffle, a dense array for
+// sum_arrays -- and prices it with byte_size; the blocks go on the memory
+// ledger and round-trip through simfs when over budget; a reduce stage
+// consumes them. The helpers below are those steps, written once.
+
+/// One map task's keyed-shuffle output: a bucket per reduce task.
+template <typename P>
+using Buckets = std::vector<std::vector<P>>;
+
+/// Map-side combine, the map half of Spark's combineByKey: folds one
+/// task's (key, value) `pairs` into a key -> combiner map, `create(v)`
+/// starting a combiner and `merge(c, v)` folding a value into one (C must
+/// be default-constructible). One work unit per pair. With `replay` set (a
+/// DetSan-sampled task) the map is also rebuilt over the pair order
+/// permuted by `seed` and checked with detsan_check_kv. The replay runs
+/// first, so the
+/// primary may move keys out of mutable `pairs` (a MapReduce emitter); a
+/// const input partition is copied from.
+template <typename C, typename Hash, typename Pairs, typename Create,
+          typename Merge, typename Report>
+auto combine_values(Pairs& pairs, Create& create, Merge& merge, DetSan& ds,
+                    bool replay, u64 seed, const Report& report) {
+  using K = std::remove_cvref_t<decltype(pairs.begin()->first)>;
+  using Map = std::unordered_map<K, C, Hash>;
+  auto fold = [&](Map& acc, auto&& k, const auto& v) {
+    work::add(1);
+    auto [it, inserted] = acc.try_emplace(std::forward<decltype(k)>(k));
+    it->second = inserted ? C(create(v)) : C(merge(std::move(it->second), v));
+  };
+  constexpr bool kCheckable =
+      util::is_canon_hashable_v<K> && util::is_canon_hashable_v<C>;
+  Map replayed;
+  if (kCheckable && replay) {
+    replayed.reserve(std::min(pairs.size(), kCombineReserveCap));
+    for (u32 i : DetSan::permutation(pairs.size(), seed)) {
+      fold(replayed, pairs[i].first, pairs[i].second);
+    }
+  }
+  Map acc;
+  acc.reserve(std::min(pairs.size(), kCombineReserveCap));
+  for (auto& [k, v] : pairs) fold(acc, std::move(k), v);
+  if constexpr (kCheckable) {
+    if (replay) detsan_check_kv(ds, acc, replayed, report);
+  }
+  return acc;
+}
+
+/// Appends each (key, value) entry to bucket `part(key)` of `buckets`
+/// (sized to `reduce_tasks`) and returns the bytes routed. Entries are
+/// moved out of a mutable range (a task's combine map or emitter) and
+/// copied out of a const one (a shared input partition).
+template <typename P, typename Entries, typename Part>
+u64 route(Entries& entries, u32 reduce_tasks, const Part& part,
+          Buckets<P>& buckets) {
+  buckets.resize(reduce_tasks);
+  u64 bytes = 0;
+  for (auto& [k, v] : entries) {
+    bytes += byte_size(k) + byte_size(v);
+    auto& bucket = buckets[part(k)];
+    if constexpr (std::is_const_v<Entries>) {
+      bucket.emplace_back(k, v);
+    } else {
+      using K = std::remove_const_t<std::remove_reference_t<decltype(k)>>;
+      bucket.emplace_back(std::move(const_cast<K&>(k)), std::move(v));
+    }
+  }
+  return bytes;
+}
+
+/// Map task of a shuffle without map-side combine (group_by_key, join,
+/// sort_by_key): one work unit per element, copied to bucket part(key).
+template <typename Part>
+auto route_task(u32 reduce_tasks, Part part) {
+  return [reduce_tasks, part](const auto& in, u32, auto& buckets) {
+    work::add(in.size());
+    return route(in, reduce_tasks, part, buckets);
+  };
+}
+
+/// Reduce side of a grouping shuffle: the values bucket `r` received from
+/// every map task, per key, one work unit per value.
+template <typename Hash, typename K, typename V>
+std::unordered_map<K, std::vector<V>, Hash> gather(
+    std::vector<Buckets<std::pair<K, V>>>& blocks, u32 r) {
+  std::unordered_map<K, std::vector<V>, Hash> groups;
+  for (auto& buckets : blocks) {
+    for (auto& [k, v] : buckets[r]) {
+      work::add(1);
+      groups[std::move(k)].push_back(std::move(v));
+    }
+  }
+  return groups;
+}
+
+/// Moves a reduce task's key -> value map into its output partition.
+template <typename Map>
+auto drain(Map& map) {
+  using K = typename Map::key_type;
+  std::vector<std::pair<K, typename Map::mapped_type>> out;
+  out.reserve(map.size());
+  for (auto& [k, m] : map) {
+    out.emplace_back(std::move(const_cast<K&>(k)), std::move(m));
+  }
+  return out;
+}
+
+/// The map side of one RDD shuffle: consumes `node` for the linter, runs
+/// `map_task(partition, pid, block) -> bytes` over its partitions as stage
+/// `stage` (the bytes recorded as its shuffle bytes), and puts the blocks
+/// through ShuffleSpill under `label`. The caller's reduce stage reads
+/// blocks(); unless they spilled, they stay on the ledger until this
+/// object dies.
+template <typename Block>
+class ShuffleMap {
+ public:
+  template <typename T, typename MapTask>
+  ShuffleMap(Node<T>& node, const std::string& label, const std::string& stage,
+             MapTask map_task)
+      : blocks_(node.num_partitions()), spill_(node.ctx(), label) {
+    Context& ctx = node.ctx();
+    if (ctx.linter().enabled()) {
+      ctx.linter().before_execute(node.id(), PlanLinter::Consume::kShuffle,
+                                  label);
+    }
+    std::atomic<u64> bytes{0};
+    ctx.run_stage_with_shuffle(
+        stage, node.num_partitions(),
+        [&](u32 pid) {
+          const auto in = node.get(pid);
+          bytes.fetch_add(map_task(*in, pid, blocks_[pid]),
+                          std::memory_order_relaxed);
+        },
+        bytes);
+    bytes_ = bytes.load(std::memory_order_relaxed);
+    spill_.round_trip(bytes_, blocks_);
+  }
+
+  std::vector<Block>& blocks() { return blocks_; }
+  u64 bytes() const { return bytes_; }
+
+ private:
+  std::vector<Block> blocks_;
+  ShuffleSpill<Block> spill_;
+  u64 bytes_ = 0;
 };
 
 }  // namespace detail
@@ -1049,74 +1137,10 @@ class RDD {
   auto aggregate_by_key(A zero, Seq seq, Comb comb, u32 out_partitions = 0,
                         Hash hash = Hash{},
                         const std::string& label = "aggregateByKey") const {
-    using K = typename detail::PairTraits<T>::key_type;
-
-    Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    using KA = std::pair<K, A>;
-    lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<std::vector<KA>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":map-combine", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          std::unordered_map<K, A, Hash> acc;
-          for (const auto& [k, v] : *in) {
-            work::add(1);
-            auto [it, inserted] = acc.try_emplace(k, zero);
-            it->second = seq(std::move(it->second), v);
-            (void)inserted;
-          }
-          if constexpr (util::is_canon_hashable_v<K> &&
-                        util::is_canon_hashable_v<A>) {
-            DetSan& ds = ctx.detsan();
-            if (ds.should_replay(node_->id(), pid)) {
-              std::unordered_map<K, A, Hash> racc;
-              for (u32 i : DetSan::permutation(
-                       in->size(), ds.replay_seed(node_->id(), pid))) {
-                work::add(1);
-                const auto& [k, v] = (*in)[i];
-                auto [it, inserted] = racc.try_emplace(k, zero);
-                it->second = seq(std::move(it->second), v);
-                (void)inserted;
-              }
-              detail::detsan_check_kv(ds, node_->id(), "aggregate_by_key",
-                                      acc, racc);
-            }
-          }
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (auto& [k, a] : acc) {
-            const u32 r = static_cast<u32>(hash(k) % reduce_tasks);
-            bytes += byte_size(k) + byte_size(a);
-            buckets[r].emplace_back(std::move(const_cast<K&>(k)),
-                                    std::move(a));
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
-
-    std::vector<std::vector<KA>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, A, Hash> acc;
-      for (u32 m = 0; m < map_tasks; ++m) {
-        for (auto& [k, a] : map_out[m][r]) {
-          work::add(1);
-          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(a));
-          if (!inserted) it->second = comb(std::move(it->second), a);
-        }
-      }
-      out[r].reserve(acc.size());
-      for (auto& [k, a] : acc) {
-        out[r].emplace_back(std::move(const_cast<K&>(k)), std::move(a));
-      }
-    });
-    return ctx.from_partitions(std::move(out));
+    using V = typename detail::PairTraits<T>::mapped_type;
+    auto create = [&](const V& v) { return seq(A(zero), v); };
+    return combine_by_key<A>(create, seq, comb, out_partitions, hash, label,
+                             "aggregate_by_key");
   }
 
   /// Shuffle + aggregate values per key, with map-side combining (Spark's
@@ -1127,80 +1151,10 @@ class RDD {
     requires detail::PairTraits<T>::is_pair
   RDD<T> reduce_by_key(F combine, u32 out_partitions = 0, Hash hash = Hash{},
                        const std::string& label = "reduceByKey") const {
-    using K = typename detail::PairTraits<T>::key_type;
     using V = typename detail::PairTraits<T>::mapped_type;
-
-    Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    // Map side: combine locally, then hash-partition into reduce buckets.
-    lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<std::vector<T>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":map-combine", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          std::unordered_map<K, V, Hash> acc;
-          acc.reserve(std::min(in->size(), kCombineReserveCap));
-          for (const auto& [k, v] : *in) {
-            work::add(1);
-            auto [it, inserted] = acc.try_emplace(k, v);
-            if (!inserted) it->second = combine(it->second, v);
-          }
-          // The combine fn is checked here at the map-combine stage; the
-          // reduce side applies the same fn, so a non-commutative combine
-          // cannot slip through unexercised.
-          if constexpr (util::is_canon_hashable_v<K> &&
-                        util::is_canon_hashable_v<V>) {
-            DetSan& ds = ctx.detsan();
-            if (ds.should_replay(node_->id(), pid)) {
-              std::unordered_map<K, V, Hash> racc;
-              racc.reserve(std::min(in->size(), kCombineReserveCap));
-              for (u32 i : DetSan::permutation(
-                       in->size(), ds.replay_seed(node_->id(), pid))) {
-                work::add(1);
-                const auto& [k, v] = (*in)[i];
-                auto [it, inserted] = racc.try_emplace(k, v);
-                if (!inserted) it->second = combine(it->second, v);
-              }
-              detail::detsan_check_kv(ds, node_->id(), "reduce_by_key", acc,
-                                      racc);
-            }
-          }
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (auto& [k, v] : acc) {
-            const u32 r = static_cast<u32>(hash(k) % reduce_tasks);
-            bytes += byte_size(k) + byte_size(v);
-            buckets[r].emplace_back(std::move(const_cast<K&>(k)), std::move(v));
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
-
-    // Reduce side: merge this key's contributions from every map task.
-    std::vector<std::vector<T>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, V, Hash> acc;
-      for (u32 m = 0; m < map_tasks; ++m) {
-        for (auto& [k, v] : map_out[m][r]) {
-          work::add(1);
-          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(v));
-          if (!inserted) it->second = combine(it->second, v);
-        }
-      }
-      auto& result = out[r];
-      result.reserve(acc.size());
-      for (auto& [k, v] : acc) {
-        result.emplace_back(std::move(const_cast<K&>(k)), std::move(v));
-      }
-    });
-
-    return ctx.from_partitions(std::move(out));
+    auto create = [](const V& v) { return v; };
+    return combine_by_key<V>(create, combine, combine, out_partitions, hash,
+                             label, "reduce_by_key");
   }
 
   /// Shuffle + gather all values per key (Spark's groupByKey). No map-side
@@ -1212,56 +1166,16 @@ class RDD {
                     const std::string& label = "groupByKey") const {
     using K = typename detail::PairTraits<T>::key_type;
     using V = typename detail::PairTraits<T>::mapped_type;
-    using Out = std::pair<K, std::vector<V>>;
 
     Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<std::vector<T>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":map", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (const auto& kv : *in) {
-            work::add(1);
-            const u32 r = static_cast<u32>(hash(kv.first) % reduce_tasks);
-            bytes += byte_size(kv);
-            buckets[r].push_back(kv);
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
-
-    // Spillable key/value shapes degrade to simfs when the buffered bytes
-    // exceed the shuffle budget; other shapes keep the in-memory path.
-    std::optional<detail::ShuffleSpill<std::vector<std::vector<T>>>> spill;
-    if constexpr (detail::is_spillable_v<T>) {
-      spill.emplace(ctx, label);
-      spill->note_buffered(shuffle_bytes.load(std::memory_order_relaxed));
-      spill->maybe_spill(map_out);
-      spill->restore(map_out);
-    }
-
-    std::vector<std::vector<Out>> out(reduce_tasks);
+    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
+    detail::ShuffleMap<detail::Buckets<T>> shuffle(
+        *node_, label, label + ":map",
+        detail::route_task(reduce_tasks, hash_partitioner(hash, reduce_tasks)));
+    std::vector<std::vector<std::pair<K, std::vector<V>>>> out(reduce_tasks);
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, std::vector<V>, Hash> groups;
-      for (u32 m = 0; m < map_tasks; ++m) {
-        for (auto& [k, v] : map_out[m][r]) {
-          work::add(1);
-          groups[std::move(k)].push_back(std::move(v));
-        }
-      }
-      out[r].reserve(groups.size());
-      for (auto& [k, vs] : groups) {
-        out[r].emplace_back(std::move(const_cast<K&>(k)), std::move(vs));
-      }
+      auto groups = detail::gather<Hash>(shuffle.blocks(), r);
+      out[r] = detail::drain(groups);
     });
     return ctx.from_partitions(std::move(out));
   }
@@ -1280,49 +1194,20 @@ class RDD {
 
     Context& ctx = node_->ctx();
     YAFIM_CHECK(&ctx == &other.ctx(), "join across contexts");
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    // Hash-partition both sides.
-    auto partition_side = [&](auto node, const char* side) {
-      using E = typename decltype(node->get(0))::element_type::value_type;
-      const u32 tasks = node->num_partitions();
-      std::vector<std::vector<std::vector<E>>> buckets(tasks);
-      std::atomic<u64> bytes{0};
-      ctx.run_stage_with_shuffle(
-          label + ":" + side, tasks,
-          [&](u32 pid) {
-            auto in = node->get(pid);
-            auto& mine = buckets[pid];
-            mine.resize(reduce_tasks);
-            u64 b = 0;
-            for (const auto& kv : *in) {
-              work::add(1);
-              const u32 r = static_cast<u32>(hash(kv.first) % reduce_tasks);
-              b += byte_size(kv);
-              mine[r].push_back(kv);
-            }
-            bytes.fetch_add(b, std::memory_order_relaxed);
-          },
-          bytes);
-      return buckets;
-    };
-    lint_consume(PlanLinter::Consume::kShuffle, label + ":left");
-    auto left = partition_side(node_, "left");
-    other.lint_consume(PlanLinter::Consume::kShuffle, label + ":right");
-    auto right = partition_side(other.node(), "right");
+    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
+    const auto part = hash_partitioner(hash, reduce_tasks);
+    detail::ShuffleMap<detail::Buckets<T>> left(
+        *node_, label + ":left", label + ":left",
+        detail::route_task(reduce_tasks, part));
+    detail::ShuffleMap<detail::Buckets<std::pair<K, W>>> right(
+        *other.node(), label + ":right", label + ":right",
+        detail::route_task(reduce_tasks, part));
 
     std::vector<std::vector<Out>> out(reduce_tasks);
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, std::vector<V>, Hash> left_by_key;
-      for (auto& task_buckets : left) {
-        for (auto& [k, v] : task_buckets[r]) {
-          work::add(1);
-          left_by_key[std::move(k)].push_back(std::move(v));
-        }
-      }
-      for (auto& task_buckets : right) {
-        for (auto& [k, w] : task_buckets[r]) {
+      auto left_by_key = detail::gather<Hash>(left.blocks(), r);
+      for (auto& buckets : right.blocks()) {
+        for (auto& [k, w] : buckets[r]) {
           work::add(1);
           auto it = left_by_key.find(k);
           if (it == left_by_key.end()) continue;
@@ -1346,27 +1231,23 @@ class RDD {
     using K = typename detail::PairTraits<T>::key_type;
 
     Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
+    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
 
     // Driver-side splitter sampling (deterministic: every ~16th key).
     // sort_by_key truthfully consumes its input twice: once for the sample
     // stage and once for the range-partition shuffle.
     lint_consume(PlanLinter::Consume::kAction, label + ":sample");
+    std::vector<std::vector<K>> samples(node_->num_partitions());
+    ctx.run_stage(label + ":sample", node_->num_partitions(), [&](u32 pid) {
+      auto in = node_->get(pid);
+      for (size_t i = 0; i < in->size(); i += 16) {
+        work::add(1);
+        samples[pid].push_back((*in)[i].first);
+      }
+    });
     std::vector<K> sample;
-    {
-      std::mutex mutex;
-      ctx.run_stage(label + ":sample", map_tasks, [&](u32 pid) {
-        auto in = node_->get(pid);
-        std::vector<K> local;
-        for (size_t i = 0; i < in->size(); i += 16) {
-          work::add(1);
-          local.push_back((*in)[i].first);
-        }
-        std::lock_guard<std::mutex> lock(mutex);
-        sample.insert(sample.end(), local.begin(), local.end());
-      });
+    for (auto& local : samples) {
+      sample.insert(sample.end(), local.begin(), local.end());
     }
     std::sort(sample.begin(), sample.end());
     std::vector<K> splitters;  // reduce_tasks - 1 boundaries
@@ -1380,34 +1261,17 @@ class RDD {
           std::upper_bound(splitters.begin(), splitters.end(), k) -
           splitters.begin());
     };
-
-    lint_consume(PlanLinter::Consume::kShuffle, label + ":partition");
-    std::vector<std::vector<std::vector<T>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":partition", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (const auto& kv : *in) {
-            work::add(1);
-            bytes += byte_size(kv);
-            buckets[range_of(kv.first)].push_back(kv);
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
+    detail::ShuffleMap<detail::Buckets<T>> shuffle(
+        *node_, label + ":partition", label + ":partition",
+        detail::route_task(reduce_tasks, range_of));
 
     std::vector<std::vector<T>> out(reduce_tasks);
     ctx.run_stage(label + ":sort", reduce_tasks, [&](u32 r) {
       auto& mine = out[r];
-      for (u32 m = 0; m < map_tasks; ++m) {
-        work::add(map_out[m][r].size());
-        mine.insert(mine.end(),
-                    std::make_move_iterator(map_out[m][r].begin()),
-                    std::make_move_iterator(map_out[m][r].end()));
+      for (auto& buckets : shuffle.blocks()) {
+        work::add(buckets[r].size());
+        mine.insert(mine.end(), std::make_move_iterator(buckets[r].begin()),
+                    std::make_move_iterator(buckets[r].end()));
       }
       std::stable_sort(mine.begin(), mine.end(),
                        [](const T& a, const T& b) {
@@ -1596,21 +1460,16 @@ class RDD {
   std::vector<E> sum_arrays(size_t width,
                             const std::string& label = "sumArrays") const {
     Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-
-    lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<E>> partials(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
+    DetSan& ds = ctx.detsan();
     std::atomic<bool> bad_width{false};
-    ctx.run_stage_with_shuffle(
-        label + ":map-combine", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          std::vector<E> acc(width, E{});
-          for (const auto& arr : *in) {
+    detail::ShuffleMap<std::vector<E>> shuffle(
+        *node_, label, label + ":map-combine",
+        [&](const std::vector<T>& in, u32 pid, std::vector<E>& acc) -> u64 {
+          acc.assign(width, E{});
+          for (const auto& arr : in) {
             if (arr.size() != width) {
               bad_width.store(true, std::memory_order_relaxed);
-              return;
+              return 0;
             }
             work::add(width);
             for (size_t i = 0; i < width; ++i) acc[i] += arr[i];
@@ -1618,37 +1477,26 @@ class RDD {
           // Permuted-order re-accumulation: += over a permuted element
           // order must land on the same cells. Exact for integers; for
           // floating-point cells this is the non-associativity catch.
-          DetSan& ds = ctx.detsan();
           if (ds.should_replay(node_->id(), pid)) {
             std::vector<E> racc(width, E{});
             for (u32 i : DetSan::permutation(
-                     in->size(), ds.replay_seed(node_->id(), pid))) {
+                     in.size(), ds.replay_seed(node_->id(), pid))) {
               work::add(width);
-              const auto& arr = (*in)[i];
-              for (size_t c = 0; c < width; ++c) racc[c] += arr[c];
+              for (size_t c = 0; c < width; ++c) racc[c] += in[i][c];
             }
             detail::detsan_check_ordered(ds, node_->id(), "sum_arrays", acc,
                                          racc);
           }
-          shuffle_bytes.fetch_add(byte_size(acc), std::memory_order_relaxed);
-          partials[pid] = std::move(acc);
-        },
-        shuffle_bytes);
+          return byte_size(acc);
+        });
     if (bad_width.load(std::memory_order_relaxed)) {
       throw EngineError(
           EngineErrorKind::kArrayWidthMismatch,
           label + ": input array width != " + std::to_string(width));
     }
-    obs::count(obs::CounterId::kArrayReduceBytes,
-               shuffle_bytes.load(std::memory_order_relaxed));
+    obs::count(obs::CounterId::kArrayReduceBytes, shuffle.bytes());
 
-    // The per-map partials are the stage's in-flight shuffle buffers; over
-    // budget they round-trip through (compressed) simfs before the reduce.
-    detail::ShuffleSpill<std::vector<E>> spill(ctx, label);
-    spill.note_buffered(shuffle_bytes.load(std::memory_order_relaxed));
-    spill.maybe_spill(partials);
-    spill.restore(partials);
-
+    const u32 map_tasks = node_->num_partitions();
     const u32 reduce_tasks = static_cast<u32>(std::max<size_t>(
         1, std::min<size_t>(ctx.default_partitions(), width)));
     std::vector<E> merged(width, E{});
@@ -1656,8 +1504,7 @@ class RDD {
       const size_t begin = width * r / reduce_tasks;
       const size_t end = width * (r + 1) / reduce_tasks;
       work::add(static_cast<u64>(end - begin) * map_tasks);
-      for (u32 m = 0; m < map_tasks; ++m) {
-        const auto& part = partials[m];
+      for (const std::vector<E>& part : shuffle.blocks()) {
         for (size_t i = begin; i < end; ++i) merged[i] += part[i];
       }
     });
@@ -1671,13 +1518,71 @@ class RDD {
   template <typename U>
   friend class RDD;
 
-  /// Plan-linter consumption hook, called right before an action/shuffle
-  /// pulls this RDD's partitions (engine/lint.h walks the lineage then).
+  /// Plan-linter consumption hook, called right before an action pulls
+  /// this RDD's partitions (engine/lint.h walks the lineage then; shuffles
+  /// consume through detail::ShuffleMap).
   void lint_consume(PlanLinter::Consume kind, const std::string& label) const {
     Context& ctx = node_->ctx();
     if (ctx.linter().enabled()) {
       ctx.linter().before_execute(node_->id(), kind, label);
     }
+  }
+
+  u32 reduce_tasks_for(u32 out_partitions) const {
+    return out_partitions ? out_partitions : node_->num_partitions();
+  }
+
+  template <typename Hash>
+  static auto hash_partitioner(Hash hash, u32 reduce_tasks) {
+    return [hash, reduce_tasks](const auto& k) {
+      return static_cast<u32>(hash(k) % reduce_tasks);
+    };
+  }
+
+  /// Spark's combineByKey, under reduce_by_key and aggregate_by_key: map
+  /// tasks fold their values into per-key combiners (`create`,
+  /// `merge_value`; DetSan replays this fold as `op`) and hash-route them;
+  /// reduce tasks merge each key's combiners (`merge_combiners`). The
+  /// replay checks the combine fn at the map side; reduce_by_key's reduce
+  /// side applies the same fn, so a non-commutative one cannot slip through.
+  template <typename C, typename Create, typename MergeValue,
+            typename MergeCombiners, typename Hash>
+  auto combine_by_key(Create& create, MergeValue& merge_value,
+                      MergeCombiners& merge_combiners, u32 out_partitions,
+                      Hash hash, const std::string& label,
+                      const char* op) const {
+    using K = typename detail::PairTraits<T>::key_type;
+    using KC = std::pair<K, C>;
+
+    Context& ctx = node_->ctx();
+    DetSan& ds = ctx.detsan();
+    const u32 id = node_->id();
+    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
+    const auto part = hash_partitioner(hash, reduce_tasks);
+    detail::ShuffleMap<detail::Buckets<KC>> shuffle(
+        *node_, label, label + ":map-combine",
+        [&](const std::vector<T>& in, u32 pid, detail::Buckets<KC>& buckets) {
+          auto acc = detail::combine_values<C, Hash>(
+              in, create, merge_value, ds, ds.should_replay(id, pid),
+              ds.replay_seed(id, pid), [&](const std::string& element) {
+                ds.report_divergence(id, op, element);
+              });
+          return detail::route(acc, reduce_tasks, part, buckets);
+        });
+
+    std::vector<std::vector<KC>> out(reduce_tasks);
+    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
+      std::unordered_map<K, C, Hash> acc;
+      for (auto& buckets : shuffle.blocks()) {
+        for (auto& [k, c] : buckets[r]) {
+          work::add(1);
+          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(c));
+          if (!inserted) it->second = merge_combiners(std::move(it->second), c);
+        }
+      }
+      out[r] = detail::drain(acc);
+    });
+    return ctx.from_partitions(std::move(out));
   }
 
   std::shared_ptr<detail::Node<T>> node_;

@@ -21,17 +21,14 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "engine/bytes_of.h"
 #include "engine/context.h"
 #include "engine/detsan.h"
 #include "engine/rdd.h"
 #include "engine/work.h"
 #include "obs/trace.h"
 #include "simfs/simfs.h"
-#include "util/canon_hash.h"
 #include "util/checksum.h"
 #include "util/common.h"
 
@@ -142,12 +139,22 @@ class JobRunner {
     const std::vector<u8> raw = fs_.read(input_path);
     const std::vector<I> records = spec.decode_input(raw);
 
-    // Map phase (with optional combiner), hash-partitioned spill. Both
-    // phases funnel through Context::measure_tasks, the engine's fault
-    // boundary, so MapReduce jobs face the same injected failures, retries
-    // and stragglers as Spark stages (keeping the comparison fair).
-    std::vector<std::vector<std::vector<std::pair<K, V>>>> map_out(map_tasks);
+    // Map phase (with optional combiner), hash-partitioned into reduce
+    // buckets by the engine's shuffle core (engine/rdd.h). Both phases
+    // funnel through Context::measure_tasks, the engine's fault boundary,
+    // so MapReduce jobs face the same injected failures, retries and
+    // stragglers as Spark stages (keeping the comparison fair).
+    using Pair = std::pair<K, V>;
+    std::vector<engine::detail::Buckets<Pair>> map_out(map_tasks);
     std::atomic<u64> shuffle_bytes{0};
+    engine::DetSan& ds = ctx_.detsan();
+    // Jobs have no rdd id: DetSan samples their map tasks by job name.
+    const u32 replay_id =
+        static_cast<u32>(mix64(xxh64(spec.name.data(), spec.name.size(), 0)));
+    const auto part = [&](const K& k) {
+      return static_cast<u32>(spec.hash(k) % reduce_tasks);
+    };
+    const auto identity = [](const V& v) { return v; };
     std::optional<obs::Span> map_span;
     if (obs::enabled()) {
       map_span.emplace("stage", spec.name + ":map");
@@ -171,76 +178,22 @@ class JobRunner {
         }
       }
 
-      auto& buckets = map_out[m];
-      buckets.resize(reduce_tasks);
+      std::vector<Pair>& pairs = emitter.pairs();
       u64 bytes = 0;
-      auto spill = [&](K&& k, V&& v) {
-        const u32 r = static_cast<u32>(spec.hash(k) % reduce_tasks);
-        bytes += engine::byte_size(k) + engine::byte_size(v);
-        buckets[r].emplace_back(std::move(k), std::move(v));
-      };
       if (spec.combine_fn) {
-        // DetSan: when this task is sampled, re-run the combiner over a
-        // permuted emission order and compare multisets -- the MapReduce
-        // analogue of the RDD map-combine replay, catching
-        // non-commutative/non-associative combine fns. The snapshot is
-        // taken up front because the primary build below moves the pairs
-        // out of the emitter.
-        engine::DetSan& ds = ctx_.detsan();
-        u32 replay_id = 0;
-        std::vector<std::pair<K, V>> replay_input;
-        if constexpr (util::is_canon_hashable_v<K> &&
-                      util::is_canon_hashable_v<V>) {
-          if (ds.enabled() && emitter.pairs().size() >= 2) {
-            replay_id = static_cast<u32>(
-                mix64(xxh64(spec.name.data(), spec.name.size(), 0)));
-            if (ds.should_replay(replay_id, m)) {
-              replay_input = emitter.pairs();
-            }
-          }
-        }
-        std::unordered_map<K, V, Hash> combined;
-        combined.reserve(
-            std::min(emitter.pairs().size(), engine::kCombineReserveCap));
-        for (auto& [k, v] : emitter.pairs()) {
-          engine::work::add(1);
-          auto [it, inserted] = combined.try_emplace(std::move(k), v);
-          if (!inserted) it->second = spec.combine_fn(it->second, v);
-        }
-        if constexpr (util::is_canon_hashable_v<K> &&
-                      util::is_canon_hashable_v<V>) {
-          if (!replay_input.empty()) {
-            const std::vector<u32> perm = engine::DetSan::permutation(
-                replay_input.size(), ds.replay_seed(replay_id, m));
-            std::unordered_map<K, V, Hash> rcombined;
-            rcombined.reserve(combined.size());
-            for (u32 idx : perm) {
-              engine::work::add(1);
-              const auto& [k, v] = replay_input[idx];
-              auto [it, inserted] = rcombined.try_emplace(k, v);
-              if (!inserted) it->second = spec.combine_fn(it->second, v);
-            }
-            ds.note_replayed();
-            if (util::canon_hash_unordered(combined) !=
-                util::canon_hash_unordered(rcombined)) {
+        // The RDD map-side combine, DetSan replay included; a replay of
+        // fewer than two emits could not permute anything.
+        auto combined = engine::detail::combine_values<V, Hash>(
+            pairs, identity, spec.combine_fn, ds,
+            pairs.size() >= 2 && ds.should_replay(replay_id, m),
+            ds.replay_seed(replay_id, m), [&](const std::string& element) {
               ds.report_divergence_raw(
                   "job '" + spec.name + "' map task " + std::to_string(m),
-                  "combine",
-                  combined.size() == rcombined.size()
-                      ? "a combined value differs between emission orders"
-                      : std::to_string(rcombined.size()) +
-                            " combined key(s) on replay vs " +
-                            std::to_string(combined.size()));
-            }
-          }
-        }
-        for (auto& [k, v] : combined) {
-          spill(std::move(const_cast<K&>(k)), std::move(v));
-        }
+                  "combine", element);
+            });
+        bytes = engine::detail::route(combined, reduce_tasks, part, map_out[m]);
       } else {
-        for (auto& [k, v] : emitter.pairs()) {
-          spill(std::move(k), std::move(v));
-        }
+        bytes = engine::detail::route(pairs, reduce_tasks, part, map_out[m]);
       }
       shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
     });
@@ -260,19 +213,11 @@ class JobRunner {
       ctx_.record(std::move(map_stage));
     }
 
-    // Spillable intermediate shapes degrade to simfs when the map-side
-    // buffers exceed the shuffle-buffer budget -- the same controller as
-    // RDD shuffles (engine/rdd.h), so MapReduce jobs face the same memory
-    // ceiling as Spark stages.
-    std::optional<engine::detail::ShuffleSpill<
-        std::vector<std::vector<std::pair<K, V>>>>>
-        spill;
-    if constexpr (engine::detail::is_spillable_v<std::pair<K, V>>) {
-      spill.emplace(ctx_, spec.name);
-      spill->note_buffered(shuffle_bytes.load(std::memory_order_relaxed));
-      spill->maybe_spill(map_out);
-      spill->restore(map_out);
-    }
+    // The RDD shuffles' ledger/spill step, so MapReduce jobs face the same
+    // memory ceiling as Spark stages.
+    engine::detail::ShuffleSpill<engine::detail::Buckets<Pair>> spill(
+        ctx_, spec.name);
+    spill.round_trip(shuffle_bytes.load(std::memory_order_relaxed), map_out);
 
     // Reduce phase: group values per key, reduce, collect output.
     std::vector<std::vector<O>> reduce_out(reduce_tasks);
@@ -283,15 +228,8 @@ class JobRunner {
     }
     auto rtasks = ctx_.measure_tasks(spec.name + ":reduce", reduce_tasks,
                                      [&](u32 r) {
-      std::unordered_map<K, std::vector<V>, Hash> groups;
-      for (u32 m = 0; m < map_tasks; ++m) {
-        for (auto& [k, v] : map_out[m][r]) {
-          engine::work::add(1);
-          groups[std::move(k)].push_back(std::move(v));
-        }
-      }
       auto& out = reduce_out[r];
-      for (auto& [k, values] : groups) {
+      for (auto& [k, values] : engine::detail::gather<Hash>(map_out, r)) {
         engine::work::add(values.size());
         if (auto o = spec.reduce_fn(k, values)) out.push_back(std::move(*o));
       }

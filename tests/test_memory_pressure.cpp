@@ -226,45 +226,57 @@ TEST(MemoryPressure, MrAprioriPartitionedSubJobsBitIdentical) {
 
 TEST(MemoryPressure, ShuffleSpillBitIdenticalAndCounted) {
   const auto db = random_db(16, 300, 0.35, 5);
-  YafimOptions opt;
-  opt.min_support = 0.2;
-  opt.count_mode = CountMode::kCandidateId;
-  const auto reference = run_yafim(db, opt);
+  for (CountMode mode : kAllModes) {
+    YafimOptions opt;
+    opt.min_support = 0.2;
+    opt.count_mode = mode;
+    const auto reference = run_yafim(db, opt);
 
-  auto copts = small_cluster();
-  copts.cluster.shuffle_buffer_bytes = 512;  // force spill on every shuffle
-  engine::Context ctx(copts);
-  simfs::SimFS fs(ctx.cluster());
-  const auto run = yafim_mine(ctx, fs, db, opt);
-  EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
+    auto copts = small_cluster();
+    copts.cluster.shuffle_buffer_bytes = 512;  // force spill on every shuffle
+    engine::Context ctx(copts);
+    simfs::SimFS fs(ctx.cluster());
+    const auto run = yafim_mine(ctx, fs, db, opt);
+    EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets))
+        << count_mode_name(mode);
 
-  const engine::MemoryBudget& mb = ctx.memory_budget();
-  EXPECT_GT(mb.spill_blocks_written(), 0u);
-  // Every spilled block was read back (restore is not optional).
-  EXPECT_EQ(mb.spill_blocks_read(), mb.spill_blocks_written());
-  // Sparse count arrays are zero-heavy: the yz codec must actually shrink
-  // them, and the stored-bytes ledger must see the compressed size.
-  EXPECT_GT(mb.spill_bytes_raw(), 0u);
-  EXPECT_LT(mb.spill_bytes_stored(), mb.spill_bytes_raw());
+    const engine::MemoryBudget& mb = ctx.memory_budget();
+    EXPECT_GT(mb.spill_blocks_written(), 0u) << count_mode_name(mode);
+    // Every spilled block was read back (restore is not optional).
+    EXPECT_EQ(mb.spill_blocks_read(), mb.spill_blocks_written())
+        << count_mode_name(mode);
+    // Count arrays are zero-heavy, and keyed blocks carry mostly-zero
+    // length prefixes and counts: the yz codec must actually shrink them,
+    // and the stored-bytes ledger must see the compressed size.
+    EXPECT_GT(mb.spill_bytes_raw(), 0u) << count_mode_name(mode);
+    EXPECT_LT(mb.spill_bytes_stored(), mb.spill_bytes_raw())
+        << count_mode_name(mode);
+  }
 }
 
 TEST(MemoryPressure, UncompressedSpillAlsoExact) {
   const auto db = random_db(16, 300, 0.35, 5);
-  YafimOptions opt;
-  opt.min_support = 0.2;
-  opt.count_mode = CountMode::kCandidateId;
-  const auto reference = run_yafim(db, opt);
+  for (CountMode mode : kAllModes) {
+    YafimOptions opt;
+    opt.min_support = 0.2;
+    opt.count_mode = mode;
+    const auto reference = run_yafim(db, opt);
 
-  auto copts = small_cluster();
-  copts.cluster.shuffle_buffer_bytes = 512;
-  engine::Context ctx(copts);
-  ctx.set_spill_compress(false);
-  simfs::SimFS fs(ctx.cluster());
-  const auto run = yafim_mine(ctx, fs, db, opt);
-  EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
-  const engine::MemoryBudget& mb = ctx.memory_budget();
-  EXPECT_GT(mb.spill_blocks_written(), 0u);
-  EXPECT_EQ(mb.spill_bytes_stored(), mb.spill_bytes_raw());
+    auto copts = small_cluster();
+    copts.cluster.shuffle_buffer_bytes = 512;
+    engine::Context ctx(copts);
+    ctx.set_spill_compress(false);
+    simfs::SimFS fs(ctx.cluster());
+    const auto run = yafim_mine(ctx, fs, db, opt);
+    EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets))
+        << count_mode_name(mode);
+    const engine::MemoryBudget& mb = ctx.memory_budget();
+    EXPECT_GT(mb.spill_blocks_written(), 0u) << count_mode_name(mode);
+    EXPECT_EQ(mb.spill_blocks_read(), mb.spill_blocks_written())
+        << count_mode_name(mode);
+    EXPECT_EQ(mb.spill_bytes_stored(), mb.spill_bytes_raw())
+        << count_mode_name(mode);
+  }
 }
 
 TEST(MemoryPressure, MrAprioriSpillsUnderShuffleBudget) {

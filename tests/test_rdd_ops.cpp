@@ -1,11 +1,15 @@
 // Tests for the extended RDD operator set: group_by_key, join, sort_by_key,
-// distinct, take/first, count_by_value.
+// distinct, take/first, count_by_value -- plus one table over every
+// shuffling operator pinning its stage ledger and its spill behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <sstream>
 
 #include "engine/rdd.h"
+#include "simfs/simfs.h"
 #include "util/rng.h"
 
 namespace yafim::engine {
@@ -329,6 +333,183 @@ TEST(TextFile, WordCountPipeline) {
   EXPECT_EQ(counts.at("b"), 2u);
   EXPECT_EQ(counts.at("c"), 1u);
 }
+
+// ---- every shuffle operator, one table -----------------------------------
+
+using KV = std::pair<u32, u64>;
+
+/// Fixed input: 240 pairs over 23 keys in 4 partitions.
+RDD<KV> fixed_pairs(Context& ctx) {
+  std::vector<KV> pairs;
+  for (u32 i = 0; i < 240; ++i) pairs.emplace_back(i * 7 % 23, i % 5 + 1);
+  return ctx.parallelize(std::move(pairs), 4);
+}
+
+template <typename E>
+std::ostream& operator<<(std::ostream& os, const std::vector<E>& v);
+
+template <typename A, typename B>
+std::ostream& operator<<(std::ostream& os, const std::pair<A, B>& p) {
+  return os << "(" << p.first << " " << p.second << ")";
+}
+
+template <typename E>
+std::ostream& operator<<(std::ostream& os, const std::vector<E>& v) {
+  for (const E& e : v) os << e << " ";
+  return os;
+}
+
+template <typename E>
+std::string render(std::vector<E> v, bool sort = true) {
+  if (sort) std::sort(v.begin(), v.end());
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+struct ShuffleOpCase {
+  const char* name;
+  /// Runs the operator on fixed_pairs() and renders its output; a final
+  /// collect, if any, is labelled "result" and left out of the ledger.
+  std::function<std::string(Context&)> run;
+  /// Stage ledger of `run`: one "label [per-task work] shuffle-bytes" line
+  /// per stage. The sim prices exactly these numbers, so a change to the
+  /// shuffle path must leave them as they are.
+  const char* ledger;
+};
+
+std::string stage_ledger(const Context& ctx) {
+  std::ostringstream os;
+  for (const sim::StageRecord& stage : ctx.report().stages()) {
+    if (stage.label == "result") continue;
+    os << stage.label << " [";
+    for (size_t i = 0; i < stage.tasks.size(); ++i) {
+      os << (i ? " " : "") << stage.tasks[i].work;
+    }
+    os << "] " << stage.shuffle_bytes << "\n";
+  }
+  return os.str();
+}
+
+const ShuffleOpCase kShuffleOps[] = {
+    {"reduce_by_key",
+     [](Context& ctx) {
+       return render(fixed_pairs(ctx)
+                         .reduce_by_key([](u64 a, u64 b) { return a + b; }, 3)
+                         .collect("result"));
+     },
+     "reduceByKey:map-combine [60 60 60 60] 1104\n"
+     "reduceByKey:reduce [32 32 28] 0\n"},
+    {"aggregate_by_key",
+     [](Context& ctx) {
+       using Acc = std::pair<u64, u64>;  // (sum, count)
+       return render(
+           fixed_pairs(ctx)
+               .aggregate_by_key(
+                   Acc{0, 0},
+                   [](Acc acc, const u64& v) {
+                     return Acc{acc.first + v, acc.second + 1};
+                   },
+                   [](Acc a, const Acc& b) {
+                     return Acc{a.first + b.first, a.second + b.second};
+                   },
+                   3)
+               .collect("result"));
+     },
+     "aggregateByKey:map-combine [60 60 60 60] 1840\n"
+     "aggregateByKey:reduce [32 32 28] 0\n"},
+    {"group_by_key",
+     [](Context& ctx) {
+       auto groups = fixed_pairs(ctx).group_by_key(3).collect("result");
+       for (auto& [k, values] : groups) std::sort(values.begin(), values.end());
+       return render(std::move(groups));
+     },
+     "groupByKey:map [60 60 60 60] 2880\n"
+     "groupByKey:reduce [84 83 73] 0\n"},
+    {"join",
+     [](Context& ctx) {
+       std::vector<std::pair<u32, u32>> right;
+       for (u32 k = 0; k < 30; k += 2) right.emplace_back(k, 100 + k);
+       return render(fixed_pairs(ctx)
+                         .join(ctx.parallelize(std::move(right), 3), 3)
+                         .collect("result"));
+     },
+     "join:left [60 60 60 60] 2880\n"
+     "join:right [5 5 5] 120\n"
+     "join:reduce [89 88 78] 0\n"},
+    {"sort_by_key",
+     [](Context& ctx) {
+       return render(fixed_pairs(ctx).sort_by_key(3).collect("result"),
+                     /*sort=*/false);
+     },
+     "sortByKey:sample [4 4 4 4] 0\n"
+     "sortByKey:partition [60 60 60 60] 2880\n"
+     "sortByKey:sort [63 83 94] 0\n"},
+    {"distinct",
+     [](Context& ctx) {
+       return render(fixed_pairs(ctx).keys().distinct(3).collect("result"));
+     },
+     "distinct:map-combine [180 180 180 180] 460\n"
+     "distinct:reduce [32 32 28] 0\n"},
+    {"count_by_value",
+     [](Context& ctx) {
+       const auto counts = fixed_pairs(ctx).keys().count_by_value();
+       return render(std::vector<KV>(counts.begin(), counts.end()));
+     },
+     "countByValue:map-combine [180 180 180 180] 1104\n"
+     "countByValue:reduce [24 24 24 20] 0\n"
+     "countByValue:collect [0 0 0 0] 0\n"},
+    {"sum_arrays",
+     [](Context& ctx) {
+       return render(fixed_pairs(ctx)
+                         .map([](const KV& kv) {
+                           std::vector<u64> cells(8, 0);
+                           cells[kv.first % 8] = kv.second;
+                           return cells;
+                         })
+                         .sum_arrays(8),
+                     /*sort=*/false);
+     },
+     "sumArrays:map-combine [540 540 540 540] 288\n"
+     "sumArrays:reduce [4 4 4 4 4 4 4 4] 0\n"},
+};
+
+Context::Options pinned_cluster(u64 shuffle_buffer_bytes) {
+  Context::Options opts = small_cluster();
+  // Exact ledgers: no injected retries, even under the CI fault matrix.
+  opts.fault = FaultProfile{};
+  opts.cluster.shuffle_buffer_bytes = shuffle_buffer_bytes;
+  return opts;
+}
+
+void PrintTo(const ShuffleOpCase& op, std::ostream* os) { *os << op.name; }
+
+class ShuffleOps : public ::testing::TestWithParam<ShuffleOpCase> {};
+
+TEST_P(ShuffleOps, StageLedgerUnchanged) {
+  Context ctx(pinned_cluster(0));
+  GetParam().run(ctx);
+  EXPECT_EQ(stage_ledger(ctx), GetParam().ledger);
+}
+
+TEST_P(ShuffleOps, SpillsUnderTinyBudgetWithSameOutput) {
+  Context unbounded(pinned_cluster(0));
+  const std::string expected = GetParam().run(unbounded);
+
+  Context ctx(pinned_cluster(1));
+  simfs::SimFS fs(ctx.cluster());
+  ctx.set_spill_fs(&fs);
+  EXPECT_EQ(GetParam().run(ctx), expected);
+  const MemoryBudget& mb = ctx.memory_budget();
+  EXPECT_GT(mb.spill_blocks_written(), 0u);
+  EXPECT_EQ(mb.spill_blocks_read(), mb.spill_blocks_written());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, ShuffleOps, ::testing::ValuesIn(kShuffleOps),
+    [](const ::testing::TestParamInfo<ShuffleOpCase>& info) {
+      return std::string(info.param.name);
+    });
 
 /// Property sweep: join against a serial reference across partitionings.
 class JoinSweep : public ::testing::TestWithParam<std::tuple<u32, u32>> {};
