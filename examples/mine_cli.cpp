@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -118,13 +119,9 @@ struct Options {
   double relax = 0.5;
 };
 
-/// All flag errors funnel through here: say what was wrong, show the
-/// usage, exit 2. (An earlier version exited without the usage text on
-/// some paths, e.g. an unknown --generate name.)
-[[noreturn]] void usage(const char* argv0, const std::string& error = "") {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
+void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(
-      stderr,
+      out,
       "usage: %s [--input=FILE | --generate=NAME] [--minsup=F]\n"
       "          [--engine=yafim|mrapriori|apriori|fpgrowth|eclat]\n"
       "          [--rules=MIN_CONF] [--top=N] [--quiet] [--stages]\n"
@@ -188,8 +185,23 @@ struct Options {
       "  4 --detsan=error divergence; 9 stream killed at an injected kill\n"
       "  point\n",
       argv0);
+}
+
+/// All flag errors funnel through here: say what was wrong, show the
+/// usage, exit 2. (An earlier version exited without the usage text on
+/// some paths, e.g. an unknown --generate name.)
+[[noreturn]] void usage(const char* argv0, const std::string& error) {
+  std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
+  print_usage(stderr, argv0);
   std::exit(2);
 }
+
+/// lo < x <= hi, false for NaN -- so a NaN flag value fails every range
+/// check below instead of slipping past a pair of negated comparisons.
+bool in_range(double x, double lo, double hi) { return lo < x && x <= hi; }
+
+/// Upper bound of the open-ended flags: rejects inf along with NaN.
+constexpr double kMaxFlag = std::numeric_limits<double>::max();
 
 bool known_engine(const std::string& engine) {
   return engine == "yafim" || engine == "mrapriori" || engine == "apriori" ||
@@ -208,7 +220,10 @@ Options parse(int argc, char** argv) {
     auto value = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
-    if (arg.rfind("--input=", 0) == 0) {
+    if (arg == "--help" || arg == "-h") {
+      print_usage(stdout, argv[0]);
+      std::exit(0);
+    } else if (arg.rfind("--input=", 0) == 0) {
       opt.input = value("--input=");
     } else if (arg.rfind("--generate=", 0) == 0) {
       opt.generate = value("--generate=");
@@ -295,7 +310,7 @@ Options parse(int argc, char** argv) {
   }
   // Validate everything here so every bad invocation gets the same
   // usage-and-exit-2 treatment, before any work happens.
-  if (opt.minsup <= 0.0 || opt.minsup > 1.0) {
+  if (!in_range(opt.minsup, 0.0, 1.0)) {
     usage(argv[0], "--minsup must be in (0, 1]");
   }
   if (!known_engine(opt.engine)) {
@@ -331,7 +346,7 @@ Options parse(int argc, char** argv) {
       opt.broadcast_mode != "partitioned") {
     usage(argv[0], "--broadcast-mode must be auto, full or partitioned");
   }
-  if (opt.memory_gb < 0.0) {
+  if (!(0.0 <= opt.memory_gb && opt.memory_gb <= kMaxFlag)) {
     usage(argv[0], "--memory-gb must be >= 0");
   }
   if ((opt.broadcast_mode != "auto" || opt.memory_gb > 0.0 ||
@@ -353,8 +368,9 @@ Options parse(int argc, char** argv) {
                       opt.stream_rate != 2000.0 || opt.stream_seed != 42)) {
     usage(argv[0], "--stream-* flags require --stream");
   }
-  if (opt.stream && (opt.stream_batches == 0 || opt.stream_window_s <= 0.0 ||
-                     opt.stream_rate <= 0.0)) {
+  if (opt.stream && (opt.stream_batches == 0 ||
+                     !in_range(opt.stream_window_s, 0.0, kMaxFlag) ||
+                     !in_range(opt.stream_rate, 0.0, kMaxFlag))) {
     usage(argv[0], "--stream-batches/--stream-window-s/--stream-rate "
                    "must be positive");
   }
@@ -372,11 +388,10 @@ Options parse(int argc, char** argv) {
                       opt.relax != 0.5)) {
     usage(argv[0], "--sample-fraction/--samples/--relax require --approx");
   }
-  if (opt.approx &&
-      (opt.sample_fraction <= 0.0 || opt.sample_fraction > 1.0)) {
+  if (opt.approx && !in_range(opt.sample_fraction, 0.0, 1.0)) {
     usage(argv[0], "--sample-fraction must be in (0, 1]");
   }
-  if (opt.approx && (opt.relax <= 0.0 || opt.relax > 1.0)) {
+  if (opt.approx && !in_range(opt.relax, 0.0, 1.0)) {
     usage(argv[0], "--relax must be in (0, 1]");
   }
   if (opt.approx && (opt.approx_samples == 0 || opt.approx_samples > 64)) {

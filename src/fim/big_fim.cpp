@@ -15,24 +15,12 @@ namespace yafim::fim {
 
 namespace {
 
-using CountPair = std::pair<Itemset, u64>;
 /// Phase-2 intermediate value: one extension item's local tidlist.
 using ExtTids = std::pair<Item, TidList>;
 /// Phase-2 input record: (global tid, transaction).
 using IndexedTx = std::pair<u64, Transaction>;
 /// Phase-2 output record: the frequent itemsets of one prefix's subtree.
 using Subtree = std::vector<CountPair>;
-
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
 
 }  // namespace
 

@@ -18,6 +18,38 @@ struct ShardIdHash {
 
 }  // namespace
 
+CandidateTrees build_candidate_trees(std::vector<std::vector<Itemset>> levels,
+                                     u32 branching, u32 leaf_capacity) {
+  CandidateTrees out;
+  out.trees = std::make_shared<std::vector<HashTree>>();
+  for (auto& level : levels) {
+    if (level.empty()) continue;
+    out.trees->emplace_back(std::move(level), branching, leaf_capacity);
+    out.bytes += out.trees->back().serialized_bytes();
+  }
+  out.id_space = HashTree::assign_id_offsets(*out.trees);
+  return out;
+}
+
+bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
+                           u64 tree_bytes) {
+  return mode == BroadcastMode::kPartitioned ||
+         (mode == BroadcastMode::kAuto &&
+          !ctx.memory_budget().broadcast_fits(tree_bytes));
+}
+
+engine::RDD<VerticalBitmapIndex> vertical_index(
+    const engine::RDD<Transaction>& transactions, const std::string& name) {
+  auto index =
+      transactions.map_partitions([](const std::vector<Transaction>& part) {
+        std::vector<VerticalBitmapIndex> out;
+        out.emplace_back(part);
+        return out;
+      });
+  index.named(name);
+  return index;
+}
+
 std::vector<CountPair> count_candidate_trees(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const std::shared_ptr<std::vector<HashTree>>& trees, u64 tree_bytes,

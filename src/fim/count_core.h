@@ -6,7 +6,11 @@
 // extracted verbatim -- stage labels, cost pricing, ledger/linter notes and
 // obs counters are unchanged -- so that the batch miner and the streaming
 // micro-batch miner (stream/miner.h) count through the exact same code and
-// stay bit-identical with each other per batch of transactions.
+// stay bit-identical with each other per batch of transactions. The steps
+// around a counting job that the level-wise miners share live here too:
+// building the candidate trees (also for the MapReduce miners' distributed
+// cache), the broadcast-vs-partitioned decision (also for MRApriori) and
+// the per-partition bitmap index.
 //
 // Four paths, selected by (count_mode, partitioned):
 //   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
@@ -31,11 +35,9 @@
 #include "fim/bitmap.h"
 #include "fim/hash_tree.h"
 #include "fim/itemset.h"
+#include "fim/result.h"
 
 namespace yafim::fim {
-
-/// (itemset, support) -- the currency of every counting path.
-using CountPair = std::pair<Itemset, u64>;
 
 struct CountCoreOptions {
   CountMode count_mode = CountMode::kItemsetKey;
@@ -58,6 +60,34 @@ struct CountCoreOptions {
   /// Stage-label prefix ("pass3", "batch0007:reverify", ...).
   std::string pass_name;
 };
+
+/// One counting job's candidate levels as hash trees: one tree per
+/// non-empty level, in the order given, candidates in their given order.
+struct CandidateTrees {
+  std::shared_ptr<std::vector<HashTree>> trees;
+  /// Serialized size of all trees: the broadcast payload.
+  u64 bytes = 0;
+  /// Batch-global dense id space (HashTree::assign_id_offsets).
+  u64 id_space = 0;
+};
+
+/// Build the trees for one counting job. Tree builds are driver work and
+/// land in the caller's engine::work::Scope.
+CandidateTrees build_candidate_trees(std::vector<std::vector<Itemset>> levels,
+                                     u32 branching, u32 leaf_capacity);
+
+/// Whether a counting job uses the partitioned candidate store instead of
+/// broadcasting its trees whole: always under kPartitioned, and under kAuto
+/// when `tree_bytes` would not fit next to what the memory ledger already
+/// places on the tightest executor (engine/memory.h). Callers re-take it
+/// per job, so a mid-run memory shrink degrades exactly the jobs after it.
+bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
+                           u64 tree_bytes);
+
+/// One VerticalBitmapIndex per partition of `transactions`, named `name`.
+/// Not persisted: whether the index outlives one job is the caller's call.
+engine::RDD<VerticalBitmapIndex> vertical_index(
+    const engine::RDD<Transaction>& transactions, const std::string& name);
 
 /// Count every candidate in `trees` against `transactions` and return those
 /// with support >= opt.min_count. `tree_bytes` is the serialized size of

@@ -10,6 +10,9 @@
 namespace yafim::fim {
 
 u64 min_count_ceil(double frac, u64 n) {
+  // Written so NaN fails too: a NaN or negative frac would otherwise cast
+  // to a threshold no itemset reaches, and 0 would admit every itemset.
+  YAFIM_CHECK(frac > 0.0 && frac <= 1.0, "relative support must be in (0, 1]");
   const double raw = frac * static_cast<double>(n);
   const u64 count = static_cast<u64>(std::ceil(raw - 1e-9));
   return std::max<u64>(count, 1);
@@ -50,8 +53,6 @@ DatasetStats TransactionDB::stats() const {
 }
 
 u64 TransactionDB::min_support_count(double min_support_frac) const {
-  YAFIM_CHECK(min_support_frac > 0.0 && min_support_frac <= 1.0,
-              "relative support must be in (0, 1]");
   return min_count_ceil(min_support_frac, tx_.size());
 }
 

@@ -21,6 +21,7 @@ namespace yafim::fim {
 /// itemsets below frac into local results, inflating candidate unions
 /// without any exactness payoff), so the rounding is pinned here and
 /// regression-tested rather than re-derived inline at each call site.
+/// CHECKs frac in (0, 1], so every miner rejects NaN, 0 and > 1 supports.
 u64 min_count_ceil(double frac, u64 n);
 
 /// What the text parser saw. All-zero unless the DB came from from_text();

@@ -12,8 +12,6 @@ namespace yafim::fim {
 
 namespace {
 
-using CountPair = std::pair<Itemset, u64>;
-
 /// Vertical database over the frequent items, broadcast to workers.
 struct VerticalDb {
   /// Parallel arrays, ordered by ascending item id.
@@ -35,17 +33,6 @@ struct VerticalDb {
 
   static constexpr size_t npos = static_cast<size_t>(-1);
 };
-
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
 
 }  // namespace
 

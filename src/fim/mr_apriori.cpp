@@ -6,6 +6,7 @@
 
 #include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
+#include "fim/count_core.h"
 #include "fim/hash_tree.h"
 #include "fim/mr_encode.h"
 #include "mapreduce/job.h"
@@ -14,33 +15,6 @@
 #include "util/stopwatch.h"
 
 namespace yafim::fim {
-
-namespace {
-
-using CountPair = std::pair<Itemset, u64>;
-using Spec = mr::JobSpec<Transaction, Itemset, u64, CountPair, ItemsetHash>;
-/// Dense twin for jobs k >= 2: intermediate keys are candidate ids.
-using IdSpec = mr::JobSpec<Transaction, u32, u64, CountPair, DenseIdHash>;
-
-std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
-  return TransactionDB::deserialize(bytes).release();
-}
-
-/// Shared by yafim.cpp's twin; duplicated locally to keep layering flat.
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    // Checkpoint-restored passes keep the snapshot's numbers.
-    if (pass.k <= run.resumed_pass) continue;
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
-}  // namespace
 
 MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                           const std::string& input_path,
@@ -98,14 +72,6 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     save_snapshot(*options.checkpoint, state);
   };
 
-  auto make_reduce = [min_count](const Itemset& key, std::vector<u64>& values)
-      -> std::optional<CountPair> {
-    u64 sum = 0;
-    for (u64 v : values) sum += v;
-    if (sum < min_count) return std::nullopt;
-    return CountPair(key, sum);
-  };
-
   // ---- Job 1: frequent items ------------------------------------------
   std::vector<Itemset> frequent;
   u32 last_completed = 1;
@@ -119,19 +85,10 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     obs::count(obs::CounterId::kCheckpointPassesSkipped, restored->pass);
   } else {
     ctx.set_pass(1);
-    Spec job1;
-    job1.name = "mrapriori:job1";
-    job1.decode_input = decode_transactions;
-    job1.map_fn = [](const Transaction& t, mr::Emitter<Itemset, u64>& emit) {
-      for (Item i : t) emit.emit(Itemset{i}, 1);
-    };
-    job1.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-    job1.reduce_fn = make_reduce;
-    job1.encode_output = encode_counts;
-    job1.num_mappers = options.num_mappers;
-    job1.num_reducers = options.num_reducers;
-
-    auto result = runner.run(job1, input_path, options.work_dir + "/L1");
+    auto result = runner.run(
+        frequent_items_job("mrapriori:job1", min_count, options.num_mappers,
+                           options.num_reducers),
+        input_path, options.work_dir + "/L1");
     frequent.reserve(result.output.size());
     for (const auto& [itemset, support] : result.output) {
       run.itemsets.add(itemset, support);
@@ -187,90 +144,59 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     auto run_level_job = [&](std::shared_ptr<const HashTree> t,
                              const std::string& name,
                              const std::string& out) {
-      if (options.count_mode == CountMode::kVerticalBitmap) {
-      // Vertical: each map split builds a bitmap index over its
-      // transactions (MapReduce has no cross-job cache, so the index is
-      // rebuilt per level -- the honest cost of the substrate) and emits
-      // one (candidate_id, count) pair per candidate with nonzero support.
-      IdSpec job;
-      job.name = name;
-      job.decode_input = decode_transactions;
-      job.map_partition_fn = [t](std::span<const Transaction> split,
-                                 mr::Emitter<u32, u64>& emit) {
-        const VerticalBitmapIndex index(split);
-        std::vector<u64> cells(t->size(), 0);
-        index.count_candidates(*t, cells.data());
-        for (u32 ci = 0; ci < cells.size(); ++ci) {
-          if (cells[ci] != 0) emit.emit(ci, cells[ci]);
-        }
-      };
-      job.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-      job.reduce_fn = [t, min_count](const u32& ci, std::vector<u64>& values)
-          -> std::optional<CountPair> {
-        u64 sum = 0;
-        for (u64 v : values) sum += v;
-        if (sum < min_count) return std::nullopt;
-        return CountPair(t->candidate(ci), sum);
-      };
-      job.encode_output = encode_counts;
-      job.num_mappers = options.num_mappers;
-      job.num_reducers = options.num_reducers;
-      job.distributed_cache_bytes = t->serialized_bytes();
-      return runner.run(job, input_path, out);
-    } else if (options.count_mode == CountMode::kItemsetKey) {
-      // Paper-faithful: mappers emit (itemset, 1) for every hit.
-      Spec job;
-      job.name = name;
-      job.decode_input = decode_transactions;
-      job.map_fn = [t, use_hash_tree](const Transaction& txn,
-                                      mr::Emitter<Itemset, u64>& emit) {
-        auto on_hit = [&](u32 ci) { emit.emit(t->candidate(ci), 1); };
-        if (use_hash_tree) {
-          static thread_local HashTree::Probe probe;
-          t->for_each_contained(txn, probe, on_hit);
-        } else {
-          t->for_each_contained_linear(txn, on_hit);
-        }
-      };
-      job.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-      job.reduce_fn = make_reduce;
-      job.encode_output = encode_counts;
-      job.num_mappers = options.num_mappers;
-      job.num_reducers = options.num_reducers;
-      // Candidate hash tree travels to every node via the distributed cache.
-      job.distributed_cache_bytes = t->serialized_bytes();
-      return runner.run(job, input_path, out);
-    } else {
-      // Dense: mappers emit (candidate_id, 1); reducers sum, threshold,
-      // and map survivors back to itemsets through their copy of the tree
-      // (already localized via the distributed cache).
-      IdSpec job;
-      job.name = name;
-      job.decode_input = decode_transactions;
-      job.map_fn = [t, use_hash_tree](const Transaction& txn,
-                                      mr::Emitter<u32, u64>& emit) {
-        auto on_hit = [&](u32 ci) { emit.emit(ci, 1); };
-        if (use_hash_tree) {
-          static thread_local HashTree::Probe probe;
-          t->for_each_contained(txn, probe, on_hit);
-        } else {
-          t->for_each_contained_linear(txn, on_hit);
-        }
-      };
-      job.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-      job.reduce_fn = [t, min_count](const u32& ci, std::vector<u64>& values)
-          -> std::optional<CountPair> {
-        u64 sum = 0;
-        for (u64 v : values) sum += v;
-        if (sum < min_count) return std::nullopt;
-        return CountPair(t->candidate(ci), sum);
-      };
-      job.encode_output = encode_counts;
-      job.num_mappers = options.num_mappers;
-      job.num_reducers = options.num_reducers;
-      job.distributed_cache_bytes = t->serialized_bytes();
-      return runner.run(job, input_path, out);
+      if (options.count_mode == CountMode::kItemsetKey) {
+        // Paper-faithful: mappers emit (itemset, 1) for every hit.
+        Spec job = counting_job<Spec>(name, min_count, options.num_mappers,
+                                      options.num_reducers);
+        job.map_fn = [t, use_hash_tree](const Transaction& txn,
+                                        mr::Emitter<Itemset, u64>& emit) {
+          auto on_hit = [&](u32 ci) { emit.emit(t->candidate(ci), 1); };
+          if (use_hash_tree) {
+            static thread_local HashTree::Probe probe;
+            t->for_each_contained(txn, probe, on_hit);
+          } else {
+            t->for_each_contained_linear(txn, on_hit);
+          }
+        };
+        // Candidate hash tree travels to every node via the distributed
+        // cache.
+        job.distributed_cache_bytes = t->serialized_bytes();
+        return runner.run(job, input_path, out);
       }
+      // Dense: mappers emit candidate ids; reducers sum, threshold, and map
+      // survivors back to itemsets through their copy of the tree (already
+      // localized via the distributed cache).
+      IdSpec job = counting_job<IdSpec>(
+          name, min_count, options.num_mappers, options.num_reducers,
+          [t](u32 ci) { return t->candidate(ci); });
+      if (options.count_mode == CountMode::kVerticalBitmap) {
+        // Vertical: each map split builds a bitmap index over its
+        // transactions (MapReduce has no cross-job cache, so the index is
+        // rebuilt per level -- the honest cost of the substrate) and emits
+        // one (candidate_id, count) pair per candidate with nonzero support.
+        job.map_partition_fn = [t](std::span<const Transaction> split,
+                                   mr::Emitter<u32, u64>& emit) {
+          const VerticalBitmapIndex index(split);
+          std::vector<u64> cells(t->size(), 0);
+          index.count_candidates(*t, cells.data());
+          for (u32 ci = 0; ci < cells.size(); ++ci) {
+            if (cells[ci] != 0) emit.emit(ci, cells[ci]);
+          }
+        };
+      } else {
+        job.map_fn = [t, use_hash_tree](const Transaction& txn,
+                                        mr::Emitter<u32, u64>& emit) {
+          auto on_hit = [&](u32 ci) { emit.emit(ci, 1); };
+          if (use_hash_tree) {
+            static thread_local HashTree::Probe probe;
+            t->for_each_contained(txn, probe, on_hit);
+          } else {
+            t->for_each_contained_linear(txn, on_hit);
+          }
+        };
+      }
+      job.distributed_cache_bytes = t->serialized_bytes();
+      return runner.run(job, input_path, out);
     };
 
     // Broadcast ceiling (engine/memory.h): when the tree would not fit
@@ -280,9 +206,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     // input per sub-job.
     const u64 tree_bytes = tree->serialized_bytes();
     const bool partitioned =
-        options.broadcast_mode == BroadcastMode::kPartitioned ||
-        (options.broadcast_mode == BroadcastMode::kAuto &&
-         !ctx.memory_budget().broadcast_fits(tree_bytes));
+        use_partitioned_store(ctx, options.broadcast_mode, tree_bytes);
     Stopwatch count_clock;
     mr::JobResult<CountPair> result;
     if (partitioned) {

@@ -13,8 +13,6 @@ namespace yafim::fim {
 
 namespace {
 
-using CountPair = std::pair<Itemset, u64>;
-
 /// Shared rank table shipped to the workers.
 struct RankTable {
   std::unordered_map<Item, u32> item_to_rank;
@@ -24,17 +22,6 @@ struct RankTable {
   u32 group_of(u32 rank) const { return rank % groups; }
   u64 byte_size() const { return 16 + 12ull * rank_to_item.size(); }
 };
-
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
 
 }  // namespace
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "engine/context.h"
+
 namespace yafim::fim {
 
 const SupportMap& FrequentItemsets::level(u32 k) const {
@@ -63,6 +65,19 @@ bool FrequentItemsets::same_itemsets(const FrequentItemsets& other) const {
     if (levels_[i] != other.levels_[i]) return false;
   }
   return true;
+}
+
+void price_passes(const engine::Context& ctx, size_t first_stage,
+                  MiningRun& run) {
+  sim::SimReport slice;
+  const auto& stages = ctx.report().stages();
+  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
+  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
+  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
+  for (PassStats& pass : run.passes) {
+    if (pass.k <= run.resumed_pass) continue;
+    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
+  }
 }
 
 }  // namespace yafim::fim

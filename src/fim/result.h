@@ -6,14 +6,22 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fim/itemset.h"
 #include "util/common.h"
 
+namespace yafim::engine {
+class Context;
+}
+
 namespace yafim::fim {
 
 using SupportMap = std::unordered_map<Itemset, u64, ItemsetHash, ItemsetEq>;
+
+/// (itemset, support) -- the currency of every counting path.
+using CountPair = std::pair<Itemset, u64>;
 
 /// All frequent itemsets of a mining run, organised by level: level(k) maps
 /// each frequent k-itemset to its exact support count.
@@ -89,5 +97,14 @@ struct MiningRun {
     return total;
   }
 };
+
+/// Fill run.setup_seconds and every PassStats::sim_seconds by pricing the
+/// stages `ctx` recorded from index `first_stage` on, grouped by their pass
+/// tag (pass 0 is setup). Passes k <= run.resumed_pass were restored from a
+/// checkpoint, not executed here, and keep the snapshot's numbers. A level
+/// counted inside a combined batch has no stages tagged with its own k, so
+/// it prices at 0 and the batch's time lands on its first level.
+void price_passes(const engine::Context& ctx, size_t first_stage,
+                  MiningRun& run);
 
 }  // namespace yafim::fim

@@ -43,17 +43,6 @@ u64 byte_size(const LocalResult& r) {
          engine::byte_size(r.frequent) + engine::byte_size(r.border);
 }
 
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
 }  // namespace
 
 std::vector<Itemset> negative_border(const FrequentItemsets& frequent,
@@ -89,8 +78,6 @@ std::vector<Itemset> negative_border(const FrequentItemsets& frequent,
 SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
                           const std::string& input_path,
                           const SamplingOptions& options) {
-  YAFIM_CHECK(options.min_support > 0.0 && options.min_support <= 1.0,
-              "relative support must be in (0, 1]");
   YAFIM_CHECK(options.num_samples >= 1 && options.num_samples <= 64,
               "num_samples must be in [1, 64]");
   const bool disjoint = options.strategy == SplitStrategy::kDisjointSplits;
@@ -280,14 +267,8 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   // probe work, stage pricing and the dense id layout) independent of the
   // unordered_map's iteration order.
   for (auto& level : by_size) std::sort(level.begin(), level.end());
-  auto trees = std::make_shared<std::vector<HashTree>>();
-  u64 tree_bytes = 0;
-  for (auto& level : by_size) {
-    if (level.empty()) continue;
-    trees->emplace_back(std::move(level), options.branching,
-                        options.leaf_capacity);
-    tree_bytes += trees->back().serialized_bytes();
-  }
+  const CandidateTrees batch = build_candidate_trees(
+      std::move(by_size), options.branching, options.leaf_capacity);
   {
     sim::StageRecord stage;
     stage.label = "twophase:union+buildHashTree";
@@ -299,30 +280,18 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
 
   // ---- Pass 2: one full-data verification pass over the whole batch ----
   std::vector<CountPair> verified;
-  if (!trees->empty()) {
+  if (!batch.trees->empty()) {
     const bool partitioned =
-        options.broadcast_mode == BroadcastMode::kPartitioned ||
-        (options.broadcast_mode == BroadcastMode::kAuto &&
-         !ctx.memory_budget().broadcast_fits(tree_bytes));
+        use_partitioned_store(ctx, options.broadcast_mode, batch.bytes);
     std::optional<engine::RDD<VerticalBitmapIndex>> vertical;
-    const bool bitmap_mode =
-        options.count_mode == CountMode::kVerticalBitmap;
-    if (bitmap_mode && !partitioned) {
+    if (options.count_mode == CountMode::kVerticalBitmap && !partitioned) {
       // One verification pass only: build the index inline, don't persist
       // (a cached copy would never be reused).
-      vertical.emplace(
-          transactions
-              .map_partitions([](const std::vector<Transaction>& part) {
-                std::vector<VerticalBitmapIndex> out;
-                out.emplace_back(part);
-                return out;
-              })
-              .named("vertical:bitmaps"));
+      vertical.emplace(vertical_index(transactions, "vertical:bitmaps"));
     }
     if (!options.cache_transactions) {
       ctx.record(parse_stage("verify:recompute lineage"));
     }
-    const u64 id_space = HashTree::assign_id_offsets(*trees);
     CountCoreOptions count_opt;
     count_opt.count_mode = options.count_mode;
     count_opt.use_hash_tree = options.use_hash_tree;
@@ -334,8 +303,9 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
     count_opt.min_count = min_count;
     count_opt.pass_name = "verify";
     Stopwatch count_clock;
-    verified = count_candidate_trees(ctx, transactions, trees, tree_bytes,
-                                     id_space, &vertical, count_opt);
+    verified = count_candidate_trees(ctx, transactions, batch.trees,
+                                     batch.bytes, batch.id_space, &vertical,
+                                     count_opt);
     run.count_host_seconds += count_clock.seconds();
   }
 

@@ -5,33 +5,12 @@
 #include <memory>
 
 #include "fim/apriori_seq.h"
+#include "fim/count_core.h"
 #include "fim/hash_tree.h"
 #include "fim/mr_encode.h"
 #include "mapreduce/job.h"
 
 namespace yafim::fim {
-
-namespace {
-
-using CountPair = std::pair<Itemset, u64>;
-using Spec = mr::JobSpec<Transaction, Itemset, u64, CountPair, ItemsetHash>;
-
-std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
-  return TransactionDB::deserialize(bytes).release();
-}
-
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
-}  // namespace
 
 SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
                 const std::string& input_path, const SonOptions& options) {
@@ -106,14 +85,8 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
   for (auto& [itemset, unused] : candidates_result.output) {
     by_size[itemset.size() - 1].push_back(std::move(itemset));
   }
-  auto trees = std::make_shared<std::vector<HashTree>>();
-  u64 cache_bytes = 0;
-  for (auto& level : by_size) {
-    if (level.empty()) continue;
-    trees->emplace_back(std::move(level), options.branching,
-                        options.leaf_capacity);
-    cache_bytes += trees->back().serialized_bytes();
-  }
+  const CandidateTrees cand = build_candidate_trees(
+      std::move(by_size), options.branching, options.leaf_capacity);
   {
     sim::StageRecord gen;
     gen.label = "son:build hash trees";
@@ -124,11 +97,10 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   // ---- Job 2: exact global counting of the candidate union -------------
-  Spec global;
-  global.name = "son:global-count";
-  global.decode_input = decode_transactions;
-  global.map_fn = [trees](const Transaction& t,
-                          mr::Emitter<Itemset, u64>& emit) {
+  Spec global = counting_job<Spec>("son:global-count", min_count,
+                                   options.num_mappers, options.num_reducers);
+  global.map_fn = [trees = cand.trees](const Transaction& t,
+                                       mr::Emitter<Itemset, u64>& emit) {
     static thread_local HashTree::Probe probe;
     for (const HashTree& tree : *trees) {
       tree.for_each_contained(t, probe, [&](u32 ci) {
@@ -136,18 +108,7 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
       });
     }
   };
-  global.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-  global.reduce_fn = [min_count](const Itemset& key, std::vector<u64>& values)
-      -> std::optional<CountPair> {
-    u64 sum = 0;
-    for (u64 v : values) sum += v;
-    if (sum < min_count) return std::nullopt;
-    return CountPair(key, sum);
-  };
-  global.encode_output = encode_counts;
-  global.num_mappers = options.num_mappers;
-  global.num_reducers = options.num_reducers;
-  global.distributed_cache_bytes = cache_bytes;
+  global.distributed_cache_bytes = cand.bytes;
 
   auto counted = runner.run(global, input_path, options.work_dir + "/L");
   for (const auto& [itemset, support] : counted.output) {

@@ -5,37 +5,12 @@
 #include <memory>
 
 #include "fim/candidate_gen.h"
+#include "fim/count_core.h"
 #include "fim/hash_tree.h"
 #include "fim/mr_encode.h"
 #include "mapreduce/job.h"
 
 namespace yafim::fim {
-
-namespace {
-
-using CountPair = std::pair<Itemset, u64>;
-using Spec = mr::JobSpec<Transaction, Itemset, u64, CountPair, ItemsetHash>;
-
-std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
-  return TransactionDB::deserialize(bytes).release();
-}
-
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    // Combined jobs are tagged with their batch's first level; later levels
-    // in the same batch keep the 0 they were initialised with.
-    if (pass.sim_seconds == 0.0 && pass.k < by_pass.size()) {
-      pass.sim_seconds = by_pass[pass.k];
-    }
-  }
-}
-
-}  // namespace
 
 LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
                 const std::string& input_path, const LinOptions& options) {
@@ -53,29 +28,12 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
   const u64 min_count = min_count_ceil(options.min_support, num_transactions);
   run.itemsets = FrequentItemsets(min_count, num_transactions);
 
-  auto reduce_fn = [min_count](const Itemset& key, std::vector<u64>& values)
-      -> std::optional<CountPair> {
-    u64 sum = 0;
-    for (u64 v : values) sum += v;
-    if (sum < min_count) return std::nullopt;
-    return CountPair(key, sum);
-  };
-  auto combine_fn = [](const u64& a, const u64& b) { return a + b; };
-
   // ---- Job 1: frequent items (identical in all three strategies) ------
   ctx.set_pass(1);
-  Spec job1;
-  job1.name = "lin:job1";
-  job1.decode_input = decode_transactions;
-  job1.map_fn = [](const Transaction& t, mr::Emitter<Itemset, u64>& emit) {
-    for (Item i : t) emit.emit(Itemset{i}, 1);
-  };
-  job1.combine_fn = combine_fn;
-  job1.reduce_fn = reduce_fn;
-  job1.encode_output = encode_counts;
-  job1.num_mappers = options.num_mappers;
-  job1.num_reducers = options.num_reducers;
-  auto result = runner.run(job1, input_path, options.work_dir + "/L1");
+  auto result = runner.run(
+      frequent_items_job("lin:job1", min_count, options.num_mappers,
+                         options.num_reducers),
+      input_path, options.work_dir + "/L1");
   lin.num_jobs = 1;
 
   std::vector<Itemset> frequent;
@@ -136,13 +94,9 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
 
     ctx.set_pass(k);
     engine::work::Scope driver_scope;
-    auto trees = std::make_shared<std::vector<HashTree>>();
-    u64 cache_bytes = 0;
-    for (auto& candidates : batch_candidates) {
-      trees->emplace_back(std::move(candidates), options.branching,
-                          options.leaf_capacity);
-      cache_bytes += trees->back().serialized_bytes();
-    }
+    const CandidateTrees cand = build_candidate_trees(
+        std::move(batch_candidates), options.branching, options.leaf_capacity);
+    const std::vector<HashTree>& trees = *cand.trees;
     {
       sim::StageRecord gen;
       gen.label = "lin:ap_gen batch@" + std::to_string(k);
@@ -152,11 +106,10 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
       ctx.record(std::move(gen));
     }
 
-    Spec job;
-    job.name = "lin:job@" + std::to_string(k);
-    job.decode_input = decode_transactions;
-    job.map_fn = [trees](const Transaction& t,
-                         mr::Emitter<Itemset, u64>& emit) {
+    Spec job = counting_job<Spec>("lin:job@" + std::to_string(k), min_count,
+                                  options.num_mappers, options.num_reducers);
+    job.map_fn = [trees = cand.trees](const Transaction& t,
+                                      mr::Emitter<Itemset, u64>& emit) {
       static thread_local HashTree::Probe probe;
       for (const HashTree& tree : *trees) {
         tree.for_each_contained(t, probe, [&](u32 ci) {
@@ -164,12 +117,7 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
         });
       }
     };
-    job.combine_fn = combine_fn;
-    job.reduce_fn = reduce_fn;
-    job.encode_output = encode_counts;
-    job.num_mappers = options.num_mappers;
-    job.num_reducers = options.num_reducers;
-    job.distributed_cache_bytes = cache_bytes;
+    job.distributed_cache_bytes = cand.bytes;
 
     result = runner.run(job, input_path,
                         options.work_dir + "/L" + std::to_string(k) + "-" +
@@ -188,14 +136,12 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
       for (const auto& [itemset, support] : by_level[j]) {
         run.itemsets.add(itemset, support);
       }
-      run.passes.push_back(PassStats{k + j,
-                                     (*trees)[j].size(),
-                                     by_level[j].size(), 0.0});
+      run.passes.push_back(
+          PassStats{k + j, trees[j].size(), by_level[j].size(), 0.0});
       if (j > 0) {
         // Levels beyond the first were generated from unverified
         // candidates; count the overshoot.
-        lin.speculative_candidates +=
-            (*trees)[j].size() - by_level[j].size();
+        lin.speculative_candidates += trees[j].size() - by_level[j].size();
       }
     }
 

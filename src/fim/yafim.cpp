@@ -19,26 +19,6 @@
 
 namespace yafim::fim {
 
-namespace {
-
-/// Fill PassStats::sim_seconds (and the setup time) by pricing the stages
-/// this run appended to the context's report.
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    // Passes restored from a checkpoint were not executed here; keep the
-    // snapshot's numbers instead of zeroing them against this run's stages.
-    if (pass.k <= run.resumed_pass) continue;
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
-}  // namespace
-
 MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
                      const std::string& input_path,
                      const YafimOptions& options) {
@@ -228,19 +208,13 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     if (batch.empty()) break;
     const u32 levels_in_batch = static_cast<u32>(batch.size());
 
-    auto trees = std::make_shared<std::vector<HashTree>>();
-    std::vector<u64> num_candidates;
-    u64 tree_bytes = 0;
-    for (auto& candidates : batch) {
-      num_candidates.push_back(candidates.size());
-      trees->emplace_back(std::move(candidates), options.branching,
-                          options.leaf_capacity);
-      tree_bytes += trees->back().serialized_bytes();
-    }
+    const CandidateTrees cand = build_candidate_trees(
+        std::move(batch), options.branching, options.leaf_capacity);
+    const std::vector<HashTree>& trees = *cand.trees;
+    u64 total_candidates = 0;
+    for (const HashTree& tree : trees) total_candidates += tree.size();
     {
       if (gen_span) {
-        u64 total_candidates = 0;
-        for (u64 n : num_candidates) total_candidates += n;
         gen_span->arg("candidates", total_candidates);
         gen_span->arg("levels", levels_in_batch);
         gen_span->end();
@@ -253,16 +227,11 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
       ctx.record(std::move(gen));
     }
 
-    // Graceful degradation (engine/memory.h): when this batch's trees
-    // would not fit next to what the ledger already places on the tightest
-    // executor, shard the candidate store over the cluster instead of
-    // broadcasting it whole. The decision is re-taken every pass, so a
+    // Graceful degradation (engine/memory.h), re-taken every pass, so a
     // YAFIM_FAULT_MEM_* shrink mid-run degrades exactly the passes after
     // the trigger.
     const bool partitioned =
-        options.broadcast_mode == BroadcastMode::kPartitioned ||
-        (options.broadcast_mode == BroadcastMode::kAuto &&
-         !ctx.memory_budget().broadcast_fits(tree_bytes));
+        use_partitioned_store(ctx, options.broadcast_mode, cand.bytes);
 
     // Vertical mode: build the per-partition bitmap index once, on the
     // first counting pass; the persisted RDD serves every later pass from
@@ -272,14 +241,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     const bool bitmap_mode = options.count_mode == CountMode::kVerticalBitmap;
     const bool builds_vertical = bitmap_mode && !vertical && !partitioned;
     if (builds_vertical) {
-      vertical.emplace(
-          transactions
-              .map_partitions([](const std::vector<Transaction>& part) {
-                std::vector<VerticalBitmapIndex> out;
-                out.emplace_back(part);
-                return out;
-              })
-              .named("vertical:bitmaps"));
+      vertical.emplace(vertical_index(transactions, "vertical:bitmaps"));
       vertical->persist();
     }
 
@@ -292,10 +254,6 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
       ctx.record(
           parse_stage("pass" + std::to_string(k) + ":recompute lineage"));
     }
-
-    // Batch-global candidate ids: tree-local index + per-level offset, so
-    // one dense array spans every level counted this pass.
-    const u64 id_space = HashTree::assign_id_offsets(*trees);
 
     // The counting job itself lives in fim/count_core.{h,cpp}, shared with
     // the streaming miner so both count through identical stages.
@@ -310,8 +268,8 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     count_opt.min_count = min_count;
     count_opt.pass_name = "pass" + std::to_string(k);
     Stopwatch count_clock;
-    level = count_candidate_trees(ctx, transactions, trees, tree_bytes,
-                                  id_space, &vertical, count_opt);
+    level = count_candidate_trees(ctx, transactions, cand.trees, cand.bytes,
+                                  cand.id_space, &vertical, count_opt);
     run.count_host_seconds += count_clock.seconds();
 
     // Split the mixed-size result back into levels.
@@ -326,12 +284,11 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
       for (const auto& [itemset, support] : by_level[j]) {
         run.itemsets.add(itemset, support);
       }
-      run.passes.push_back(PassStats{k + j, num_candidates[j],
-                                     by_level[j].size(), 0.0});
+      run.passes.push_back(
+          PassStats{k + j, trees[j].size(), by_level[j].size(), 0.0});
     }
     if (pass_span) {
-      u64 total_candidates = 0, total_frequent = 0;
-      for (u64 n : num_candidates) total_candidates += n;
+      u64 total_frequent = 0;
       for (const auto& lvl : by_level) total_frequent += lvl.size();
       if (levels_in_batch > 1) pass_span->arg("levels", levels_in_batch);
       pass_span->arg("candidates", total_candidates);

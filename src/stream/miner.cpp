@@ -244,7 +244,7 @@ class StreamingMiner {
     std::vector<std::vector<Itemset>> levels = tracked_by_level();
     if (!levels.empty()) {
       tracked_counts =
-          count_over(batch_rdd, std::move(levels), label + ":track", b);
+          count_over(batch_rdd, std::move(levels), label + ":track");
     }
 
     // ---- merge ----
@@ -271,7 +271,7 @@ class StreamingMiner {
 
     // ---- reverify ----
     maybe_kill(b, StreamPhase::kReverify);
-    stats.new_candidates = reverify(label, b, hi);
+    stats.new_candidates = reverify(label, hi);
     const u64 deferred = count_deferred(hi);
     obs::count(obs::CounterId::kStreamReverifyDeferred, deferred);
 
@@ -308,7 +308,7 @@ class StreamingMiner {
   /// tracked itemsets that fell out of the universe. Returns the number of
   /// candidates re-verified. Because level k's frontier is final before
   /// level k+1 is generated, a single walk reaches the fixpoint.
-  u64 reverify(const std::string& label, u64 b, u64 hi) {
+  u64 reverify(const std::string& label, u64 hi) {
     std::vector<Itemset> prev;
     for (const auto& [itemset, support] : supports_) {
       (void)support;
@@ -346,9 +346,9 @@ class StreamingMiner {
         auto history_rdd = history();
         std::vector<std::vector<Itemset>> level;
         level.push_back(std::move(fresh));
-        for (auto& [itemset, support] : count_over(
-                 history_rdd, std::move(level),
-                 label + ":reverify" + std::to_string(k), b)) {
+        for (auto& [itemset, support] :
+             count_over(history_rdd, std::move(level),
+                        label + ":reverify" + std::to_string(k))) {
           supports_[itemset] = support;
         }
       }
@@ -387,40 +387,28 @@ class StreamingMiner {
   /// shared core, min_count = 1. Caller owns merging the result.
   std::vector<CountPair> count_over(engine::RDD<Transaction>& transactions,
                                     std::vector<std::vector<Itemset>> levels,
-                                    const std::string& pass_name, u64 b) {
-    auto trees = std::make_shared<std::vector<fim::HashTree>>();
-    u64 tree_bytes = 0;
-    u32 kmin = 0;
+                                    const std::string& pass_name) {
     for (auto& level : levels) {
       std::sort(level.begin(), level.end(), itemset_less);
-      const u32 k = static_cast<u32>(level.front().size());
-      kmin = kmin == 0 ? k : std::min(kmin, k);
-      trees->emplace_back(std::move(level), options_.branching,
-                          options_.leaf_capacity);
-      tree_bytes += trees->back().serialized_bytes();
     }
-    const u64 id_space = fim::HashTree::assign_id_offsets(*trees);
+    const fim::CandidateTrees cand = fim::build_candidate_trees(
+        std::move(levels), options_.branching, options_.leaf_capacity);
+    u32 kmin = ~0u;
+    for (const fim::HashTree& tree : *cand.trees) {
+      kmin = std::min(kmin, tree.k());
+    }
 
-    // Same degradation rule as the batch miner, re-taken per job: when the
-    // trees outgrow the tightest executor (e.g. PR-7's shrink axis fired),
-    // shard the candidate store instead of broadcasting it whole.
+    // Same degradation rule as the batch miner, re-taken per job.
     const bool partitioned =
-        options_.broadcast_mode == fim::BroadcastMode::kPartitioned ||
-        (options_.broadcast_mode == fim::BroadcastMode::kAuto &&
-         !ctx_.memory_budget().broadcast_fits(tree_bytes));
+        fim::use_partitioned_store(ctx_, options_.broadcast_mode, cand.bytes);
 
     std::optional<engine::RDD<fim::VerticalBitmapIndex>> vertical;
     if (options_.count_mode == fim::CountMode::kVerticalBitmap &&
         !partitioned) {
       // Streaming data is new every batch, so the index is rebuilt per job
       // rather than served from a run-long cache like the batch miner's.
-      vertical.emplace(transactions.map_partitions(
-          [](const std::vector<Transaction>& part) {
-            std::vector<fim::VerticalBitmapIndex> out;
-            out.emplace_back(part);
-            return out;
-          }));
-      (void)vertical->named(pass_name + ":bitmaps");
+      vertical.emplace(
+          fim::vertical_index(transactions, pass_name + ":bitmaps"));
     }
 
     fim::CountCoreOptions opt;
@@ -433,9 +421,9 @@ class StreamingMiner {
     opt.kmin = std::max<u32>(kmin, 2);
     opt.min_count = 1;
     opt.pass_name = pass_name;
-    (void)b;
-    return fim::count_candidate_trees(ctx_, transactions, trees, tree_bytes,
-                                      id_space, &vertical, opt);
+    return fim::count_candidate_trees(ctx_, transactions, cand.trees,
+                                      cand.bytes, cand.id_space, &vertical,
+                                      opt);
   }
 
   /// Tracked k>=2 itemsets grouped into sorted levels (for tree builds).
@@ -505,7 +493,7 @@ class StreamingMiner {
         frontier_.insert(itemset);
       }
     }
-    reverify("drain", options_.num_batches, minc_);
+    reverify("drain", minc_);
     deferred_at_close_ = count_deferred(entry_threshold());
   }
 

@@ -4,6 +4,10 @@
 // i.e. the paper's full pipeline in miniature.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "datagen/benchmarks.h"
 #include "engine/rdd.h"
 #include "fim/apriori_seq.h"
@@ -15,6 +19,7 @@
 #include "fim/fp_growth.h"
 #include "fim/mr_apriori.h"
 #include "fim/rules.h"
+#include "fim/sampling.h"
 #include "fim/spc_fpc_dpc.h"
 #include "fim/yafim.h"
 
@@ -278,6 +283,544 @@ TEST(Integration, CombiningStrategiesAgreeOnBenchmark) {
     EXPECT_TRUE(lin.run.itemsets.same_itemsets(reference));
   }
 }
+
+
+// ---- Pricing pin -----------------------------------------------------
+// Every parallel entry point prices its passes through fim::price_passes.
+// These rows pin what each one reports on the same input -- setup seconds,
+// every pass's (k, candidates, frequent, sim seconds) and the ordered
+// stage labels -- so a change to the shared pricing, tree building or job
+// layout that moves any miner's simulated clock fails here by name. The
+// expected values were captured from the per-miner implementations the
+// shared steps replaced.
+
+struct PinnedPass {
+  u32 k;
+  u64 candidates;
+  u64 frequent;
+  double sim_seconds;
+};
+
+struct PricingCase {
+  const char* name;
+  std::function<fim::MiningRun(engine::Context&, simfs::SimFS&,
+                               const fim::TransactionDB&, double)>
+      mine;
+  double setup_seconds;
+  std::vector<PinnedPass> passes;
+  std::vector<std::string> stages;
+};
+
+template <typename Options>
+Options with_support(double sup) {
+  Options opt;
+  opt.min_support = sup;
+  return opt;
+}
+
+auto yafim_case(fim::CountMode mode, fim::BroadcastMode broadcast =
+                                          fim::BroadcastMode::kAuto) {
+  return [mode, broadcast](engine::Context& ctx, simfs::SimFS& fs,
+                           const fim::TransactionDB& db, double sup) {
+    auto opt = with_support<fim::YafimOptions>(sup);
+    opt.count_mode = mode;
+    opt.broadcast_mode = broadcast;
+    return fim::yafim_mine(ctx, fs, db, opt);
+  };
+}
+
+auto mr_apriori_case(fim::CountMode mode, fim::BroadcastMode broadcast =
+                                          fim::BroadcastMode::kAuto) {
+  return [mode, broadcast](engine::Context& ctx, simfs::SimFS& fs,
+                           const fim::TransactionDB& db, double sup) {
+    auto opt = with_support<fim::MrAprioriOptions>(sup);
+    opt.count_mode = mode;
+    opt.broadcast_mode = broadcast;
+    return fim::mr_apriori_mine(ctx, fs, db, opt);
+  };
+}
+
+auto lin_case(fim::CombineStrategy strategy) {
+  return [strategy](engine::Context& ctx, simfs::SimFS& fs,
+                    const fim::TransactionDB& db, double sup) {
+    auto opt = with_support<fim::LinOptions>(sup);
+    opt.strategy = strategy;
+    return fim::lin_mine(ctx, fs, db, opt).run;
+  };
+}
+
+fim::MiningRun sampling_run(engine::Context& ctx, simfs::SimFS& fs,
+                            const fim::TransactionDB& db, double sup) {
+  return fim::sampling_mine(ctx, fs, db,
+                            with_support<fim::SamplingOptions>(sup))
+      .run;
+}
+
+fim::MiningRun son_run(engine::Context& ctx, simfs::SimFS& fs,
+                       const fim::TransactionDB& db, double sup) {
+  return fim::son_mine(ctx, fs, db, with_support<fim::SonOptions>(sup)).run;
+}
+
+fim::MiningRun pfp_run(engine::Context& ctx, simfs::SimFS& fs,
+                       const fim::TransactionDB& db, double sup) {
+  return fim::pfp_mine(ctx, fs, db, with_support<fim::PfpOptions>(sup)).run;
+}
+
+fim::MiningRun dist_eclat_run(engine::Context& ctx, simfs::SimFS& fs,
+                              const fim::TransactionDB& db, double sup) {
+  return fim::dist_eclat_mine(ctx, fs, db,
+                              with_support<fim::DistEclatOptions>(sup))
+      .run;
+}
+
+fim::MiningRun big_fim_run(engine::Context& ctx, simfs::SimFS& fs,
+                           const fim::TransactionDB& db, double sup) {
+  return fim::big_fim_mine(ctx, fs, db, with_support<fim::BigFimOptions>(sup))
+      .run;
+}
+
+class PricingPin : public ::testing::TestWithParam<PricingCase> {};
+
+TEST_P(PricingPin, PassesAndStagesUnchanged) {
+  const PricingCase& c = GetParam();
+  const auto bench = datagen::make_mushroom(/*scale=*/0.1);
+  auto opts = paper_cluster();
+  opts.fault = engine::FaultProfile{};  // pricing must not see injection
+  engine::Context ctx(opts);
+  simfs::SimFS fs(ctx.cluster(), sim::CorruptionProfile{});
+  const fim::MiningRun run =
+      c.mine(ctx, fs, bench.db, bench.paper_min_support);
+
+  EXPECT_DOUBLE_EQ(run.setup_seconds, c.setup_seconds);
+  ASSERT_EQ(run.passes.size(), c.passes.size());
+  for (size_t i = 0; i < c.passes.size(); ++i) {
+    SCOPED_TRACE("pass row " + std::to_string(i));
+    EXPECT_EQ(run.passes[i].k, c.passes[i].k);
+    EXPECT_EQ(run.passes[i].candidates, c.passes[i].candidates);
+    EXPECT_EQ(run.passes[i].frequent, c.passes[i].frequent);
+    EXPECT_DOUBLE_EQ(run.passes[i].sim_seconds, c.passes[i].sim_seconds);
+  }
+  std::vector<std::string> labels;
+  for (const sim::StageRecord& stage : ctx.report().stages()) {
+    labels.push_back(stage.label);
+  }
+  EXPECT_EQ(labels, c.stages);
+}
+
+// clang-format off
+INSTANTIATE_TEST_SUITE_P(
+    Integration, PricingPin,
+    ::testing::Values(
+        PricingCase{
+            "YafimItemsetKey",
+            yafim_case(fim::CountMode::kItemsetKey),
+            0.3341285384533401,
+            {{1, 23, 23, 0.9522806044509293},
+             {2, 253, 118, 0.957597888087293},
+             {3, 313, 179, 0.9612382817236566},
+             {4, 243, 227, 0.9610474317236565},
+             {5, 254, 241, 0.9609701480872929},
+             {6, 168, 164, 0.9579011589963838},
+             {7, 59, 55, 0.9539974244509294},
+             {8, 9, 9, 0.9518377353600203},
+             {9, 1, 1, 0.9514645726327475}},
+            {"load:textFile+parse", "phase1:count:map-combine",
+             "phase1:count:reduce", "phase1:collect",
+             "pass2:ap_gen+buildHashTree", "pass2:count:map-combine",
+             "pass2:count:reduce", "pass2:collect",
+             "pass3:ap_gen+buildHashTree", "pass3:count:map-combine",
+             "pass3:count:reduce", "pass3:collect",
+             "pass4:ap_gen+buildHashTree", "pass4:count:map-combine",
+             "pass4:count:reduce", "pass4:collect",
+             "pass5:ap_gen+buildHashTree", "pass5:count:map-combine",
+             "pass5:count:reduce", "pass5:collect",
+             "pass6:ap_gen+buildHashTree", "pass6:count:map-combine",
+             "pass6:count:reduce", "pass6:collect",
+             "pass7:ap_gen+buildHashTree", "pass7:count:map-combine",
+             "pass7:count:reduce", "pass7:collect",
+             "pass8:ap_gen+buildHashTree", "pass8:count:map-combine",
+             "pass8:count:reduce", "pass8:collect",
+             "pass9:ap_gen+buildHashTree", "pass9:count:map-combine",
+             "pass9:count:reduce", "pass9:collect"}},
+        PricingCase{
+            "YafimCandidateId",
+            yafim_case(fim::CountMode::kCandidateId),
+            0.3341285384533401,
+            {{1, 23, 23, 0.9522806044509293},
+             {2, 253, 118, 0.637657344785468},
+             {3, 313, 179, 0.6398301629672862},
+             {4, 243, 227, 0.6398761993309224},
+             {5, 254, 241, 0.6397207942647298},
+             {6, 168, 164, 0.6378697175127408},
+             {7, 59, 55, 0.543283889644043},
+             {8, 9, 9, 0.5420228623713156},
+             {9, 1, 1, 0.462232991521865}},
+            {"load:textFile+parse", "phase1:count:map-combine",
+             "phase1:count:reduce", "phase1:collect",
+             "pass2:ap_gen+buildHashTree", "pass2:count:map-combine",
+             "pass2:count:reduce", "pass2:materialize",
+             "pass3:ap_gen+buildHashTree", "pass3:count:map-combine",
+             "pass3:count:reduce", "pass3:materialize",
+             "pass4:ap_gen+buildHashTree", "pass4:count:map-combine",
+             "pass4:count:reduce", "pass4:materialize",
+             "pass5:ap_gen+buildHashTree", "pass5:count:map-combine",
+             "pass5:count:reduce", "pass5:materialize",
+             "pass6:ap_gen+buildHashTree", "pass6:count:map-combine",
+             "pass6:count:reduce", "pass6:materialize",
+             "pass7:ap_gen+buildHashTree", "pass7:count:map-combine",
+             "pass7:count:reduce", "pass7:materialize",
+             "pass8:ap_gen+buildHashTree", "pass8:count:map-combine",
+             "pass8:count:reduce", "pass8:materialize",
+             "pass9:ap_gen+buildHashTree", "pass9:count:map-combine",
+             "pass9:count:reduce", "pass9:materialize"}},
+        PricingCase{
+            "YafimVerticalBitmap",
+            yafim_case(fim::CountMode::kVerticalBitmap),
+            0.3341285384533401,
+            {{1, 23, 23, 0.9522806044509293},
+             {2, 253, 118, 0.636041344785468},
+             {3, 313, 179, 0.6370991629672862},
+             {4, 243, 227, 0.6367416993309225},
+             {5, 254, 241, 0.6368085302400135},
+             {6, 168, 164, 0.6360872175127408},
+             {7, 59, 55, 0.542538389644043},
+             {8, 9, 9, 0.5419458623713156},
+             {9, 1, 1, 0.46221099152186496}},
+            {"load:textFile+parse", "phase1:count:map-combine",
+             "phase1:count:reduce", "phase1:collect",
+             "pass2:ap_gen+buildHashTree", "pass2:count:map-combine",
+             "pass2:count:reduce", "pass2:materialize",
+             "pass3:ap_gen+buildHashTree", "pass3:count:map-combine",
+             "pass3:count:reduce", "pass3:materialize",
+             "pass4:ap_gen+buildHashTree", "pass4:count:map-combine",
+             "pass4:count:reduce", "pass4:materialize",
+             "pass5:ap_gen+buildHashTree", "pass5:count:map-combine",
+             "pass5:count:reduce", "pass5:materialize",
+             "pass6:ap_gen+buildHashTree", "pass6:count:map-combine",
+             "pass6:count:reduce", "pass6:materialize",
+             "pass7:ap_gen+buildHashTree", "pass7:count:map-combine",
+             "pass7:count:reduce", "pass7:materialize",
+             "pass8:ap_gen+buildHashTree", "pass8:count:map-combine",
+             "pass8:count:reduce", "pass8:materialize",
+             "pass9:ap_gen+buildHashTree", "pass9:count:map-combine",
+             "pass9:count:reduce", "pass9:materialize"}},
+        PricingCase{
+            "YafimPartitioned",
+            yafim_case(fim::CountMode::kCandidateId,
+                       fim::BroadcastMode::kPartitioned),
+            0.3341285384533401,
+            {{1, 23, 23, 0.9522806044509293},
+             {2, 253, 118, 1.277828956850898},
+             {3, 313, 179, 1.277518515941807},
+             {4, 243, 227, 1.2798174080840818},
+             {5, 254, 241, 1.279705047174991},
+             {6, 168, 164, 1.2762694341236254},
+             {7, 59, 55, 1.18122602056303},
+             {8, 9, 9, 1.178917544429511},
+             {9, 1, 1, 1.0990643163073333}},
+            {"load:textFile+parse", "phase1:count:map-combine",
+             "phase1:count:reduce", "phase1:collect",
+             "pass2:ap_gen+buildHashTree", "pass2:shard-trees",
+             "pass2:route:map", "pass2:route:reduce",
+             "pass2:count:map-combine", "pass2:count:reduce",
+             "pass2:materialize", "pass3:ap_gen+buildHashTree",
+             "pass3:shard-trees", "pass3:route:map", "pass3:route:reduce",
+             "pass3:count:map-combine", "pass3:count:reduce",
+             "pass3:materialize", "pass4:ap_gen+buildHashTree",
+             "pass4:shard-trees", "pass4:route:map", "pass4:route:reduce",
+             "pass4:count:map-combine", "pass4:count:reduce",
+             "pass4:materialize", "pass5:ap_gen+buildHashTree",
+             "pass5:shard-trees", "pass5:route:map", "pass5:route:reduce",
+             "pass5:count:map-combine", "pass5:count:reduce",
+             "pass5:materialize", "pass6:ap_gen+buildHashTree",
+             "pass6:shard-trees", "pass6:route:map", "pass6:route:reduce",
+             "pass6:count:map-combine", "pass6:count:reduce",
+             "pass6:materialize", "pass7:ap_gen+buildHashTree",
+             "pass7:shard-trees", "pass7:route:map", "pass7:route:reduce",
+             "pass7:count:map-combine", "pass7:count:reduce",
+             "pass7:materialize", "pass8:ap_gen+buildHashTree",
+             "pass8:shard-trees", "pass8:route:map", "pass8:route:reduce",
+             "pass8:count:map-combine", "pass8:count:reduce",
+             "pass8:materialize", "pass9:ap_gen+buildHashTree",
+             "pass9:shard-trees", "pass9:route:map", "pass9:route:reduce",
+             "pass9:count:map-combine", "pass9:count:reduce",
+             "pass9:materialize"}},
+        PricingCase{
+            "MrAprioriItemsetKey",
+            mr_apriori_case(fim::CountMode::kItemsetKey),
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 22.249247575556936},
+             {3, 313, 179, 22.254368495859968},
+             {4, 243, 227, 22.252168792526632},
+             {5, 254, 241, 22.253675480300416},
+             {6, 168, 164, 22.249163513132693},
+             {7, 59, 55, 22.243053465253908},
+             {8, 9, 9, 22.239991056162996},
+             {9, 1, 1, 22.23956108676906}},
+            {"mrapriori:job1:startup", "mrapriori:job1:map",
+             "mrapriori:job1:reduce", "mrapriori:driver read L1",
+             "mrapriori:ap_gen L2", "mrapriori:job2:startup",
+             "mrapriori:job2:map", "mrapriori:job2:reduce",
+             "mrapriori:driver read L2", "mrapriori:ap_gen L3",
+             "mrapriori:job3:startup", "mrapriori:job3:map",
+             "mrapriori:job3:reduce", "mrapriori:driver read L3",
+             "mrapriori:ap_gen L4", "mrapriori:job4:startup",
+             "mrapriori:job4:map", "mrapriori:job4:reduce",
+             "mrapriori:driver read L4", "mrapriori:ap_gen L5",
+             "mrapriori:job5:startup", "mrapriori:job5:map",
+             "mrapriori:job5:reduce", "mrapriori:driver read L5",
+             "mrapriori:ap_gen L6", "mrapriori:job6:startup",
+             "mrapriori:job6:map", "mrapriori:job6:reduce",
+             "mrapriori:driver read L6", "mrapriori:ap_gen L7",
+             "mrapriori:job7:startup", "mrapriori:job7:map",
+             "mrapriori:job7:reduce", "mrapriori:driver read L7",
+             "mrapriori:ap_gen L8", "mrapriori:job8:startup",
+             "mrapriori:job8:map", "mrapriori:job8:reduce",
+             "mrapriori:driver read L8", "mrapriori:ap_gen L9",
+             "mrapriori:job9:startup", "mrapriori:job9:map",
+             "mrapriori:job9:reduce", "mrapriori:driver read L9"}},
+        PricingCase{
+            "MrAprioriCandidateId",
+            mr_apriori_case(fim::CountMode::kCandidateId),
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 22.248487830300416},
+             {3, 313, 179, 22.252780550405422},
+             {4, 243, 227, 22.25158837545193},
+             {5, 254, 241, 22.252085269391326},
+             {6, 168, 164, 22.24806786858724},
+             {7, 59, 55, 22.243153105253906},
+             {8, 9, 9, 22.24003703070845},
+             {9, 1, 1, 22.239555041314514}},
+            {"mrapriori:job1:startup", "mrapriori:job1:map",
+             "mrapriori:job1:reduce", "mrapriori:driver read L1",
+             "mrapriori:ap_gen L2", "mrapriori:job2:startup",
+             "mrapriori:job2:map", "mrapriori:job2:reduce",
+             "mrapriori:driver read L2", "mrapriori:ap_gen L3",
+             "mrapriori:job3:startup", "mrapriori:job3:map",
+             "mrapriori:job3:reduce", "mrapriori:driver read L3",
+             "mrapriori:ap_gen L4", "mrapriori:job4:startup",
+             "mrapriori:job4:map", "mrapriori:job4:reduce",
+             "mrapriori:driver read L4", "mrapriori:ap_gen L5",
+             "mrapriori:job5:startup", "mrapriori:job5:map",
+             "mrapriori:job5:reduce", "mrapriori:driver read L5",
+             "mrapriori:ap_gen L6", "mrapriori:job6:startup",
+             "mrapriori:job6:map", "mrapriori:job6:reduce",
+             "mrapriori:driver read L6", "mrapriori:ap_gen L7",
+             "mrapriori:job7:startup", "mrapriori:job7:map",
+             "mrapriori:job7:reduce", "mrapriori:driver read L7",
+             "mrapriori:ap_gen L8", "mrapriori:job8:startup",
+             "mrapriori:job8:map", "mrapriori:job8:reduce",
+             "mrapriori:driver read L8", "mrapriori:ap_gen L9",
+             "mrapriori:job9:startup", "mrapriori:job9:map",
+             "mrapriori:job9:reduce", "mrapriori:driver read L9"}},
+        PricingCase{
+            "MrAprioriVerticalBitmap",
+            mr_apriori_case(fim::CountMode::kVerticalBitmap),
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 22.24569783030042},
+             {3, 313, 179, 22.248288550405423},
+             {4, 243, 227, 22.246846875451933},
+             {5, 254, 241, 22.247557269391326},
+             {6, 168, 164, 22.245311368587238},
+             {7, 59, 55, 22.242193605253906},
+             {8, 9, 9, 22.24008803070845},
+             {9, 1, 1, 22.23971804131451}},
+            {"mrapriori:job1:startup", "mrapriori:job1:map",
+             "mrapriori:job1:reduce", "mrapriori:driver read L1",
+             "mrapriori:ap_gen L2", "mrapriori:job2:startup",
+             "mrapriori:job2:map", "mrapriori:job2:reduce",
+             "mrapriori:driver read L2", "mrapriori:ap_gen L3",
+             "mrapriori:job3:startup", "mrapriori:job3:map",
+             "mrapriori:job3:reduce", "mrapriori:driver read L3",
+             "mrapriori:ap_gen L4", "mrapriori:job4:startup",
+             "mrapriori:job4:map", "mrapriori:job4:reduce",
+             "mrapriori:driver read L4", "mrapriori:ap_gen L5",
+             "mrapriori:job5:startup", "mrapriori:job5:map",
+             "mrapriori:job5:reduce", "mrapriori:driver read L5",
+             "mrapriori:ap_gen L6", "mrapriori:job6:startup",
+             "mrapriori:job6:map", "mrapriori:job6:reduce",
+             "mrapriori:driver read L6", "mrapriori:ap_gen L7",
+             "mrapriori:job7:startup", "mrapriori:job7:map",
+             "mrapriori:job7:reduce", "mrapriori:driver read L7",
+             "mrapriori:ap_gen L8", "mrapriori:job8:startup",
+             "mrapriori:job8:map", "mrapriori:job8:reduce",
+             "mrapriori:driver read L8", "mrapriori:ap_gen L9",
+             "mrapriori:job9:startup", "mrapriori:job9:map",
+             "mrapriori:job9:reduce", "mrapriori:driver read L9"}},
+        PricingCase{
+            "MrAprioriPartitioned",
+            mr_apriori_case(fim::CountMode::kCandidateId,
+                            fim::BroadcastMode::kPartitioned),
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 44.48849549656842},
+             {3, 313, 179, 44.492469134645226},
+             {4, 243, 227, 44.49120167676644},
+             {5, 254, 241, 44.491794570705835},
+             {6, 168, 164, 44.48763666990175},
+             {7, 59, 55, 22.24318261192057},
+             {8, 9, 9, 22.240041530708453},
+             {9, 1, 1, 22.239555541314513}},
+            {"mrapriori:job1:startup", "mrapriori:job1:map",
+             "mrapriori:job1:reduce", "mrapriori:driver read L1",
+             "mrapriori:ap_gen L2", "mrapriori:job2:shard-candidates",
+             "mrapriori:job2:shard0:startup", "mrapriori:job2:shard0:map",
+             "mrapriori:job2:shard0:reduce", "mrapriori:job2:shard1:startup",
+             "mrapriori:job2:shard1:map", "mrapriori:job2:shard1:reduce",
+             "mrapriori:driver read L2", "mrapriori:ap_gen L3",
+             "mrapriori:job3:shard-candidates",
+             "mrapriori:job3:shard0:startup", "mrapriori:job3:shard0:map",
+             "mrapriori:job3:shard0:reduce", "mrapriori:job3:shard1:startup",
+             "mrapriori:job3:shard1:map", "mrapriori:job3:shard1:reduce",
+             "mrapriori:driver read L3", "mrapriori:ap_gen L4",
+             "mrapriori:job4:shard-candidates",
+             "mrapriori:job4:shard0:startup", "mrapriori:job4:shard0:map",
+             "mrapriori:job4:shard0:reduce", "mrapriori:job4:shard1:startup",
+             "mrapriori:job4:shard1:map", "mrapriori:job4:shard1:reduce",
+             "mrapriori:driver read L4", "mrapriori:ap_gen L5",
+             "mrapriori:job5:shard-candidates",
+             "mrapriori:job5:shard0:startup", "mrapriori:job5:shard0:map",
+             "mrapriori:job5:shard0:reduce", "mrapriori:job5:shard1:startup",
+             "mrapriori:job5:shard1:map", "mrapriori:job5:shard1:reduce",
+             "mrapriori:driver read L5", "mrapriori:ap_gen L6",
+             "mrapriori:job6:shard-candidates",
+             "mrapriori:job6:shard0:startup", "mrapriori:job6:shard0:map",
+             "mrapriori:job6:shard0:reduce", "mrapriori:job6:shard1:startup",
+             "mrapriori:job6:shard1:map", "mrapriori:job6:shard1:reduce",
+             "mrapriori:driver read L6", "mrapriori:ap_gen L7",
+             "mrapriori:job7:shard-candidates",
+             "mrapriori:job7:shard0:startup", "mrapriori:job7:shard0:map",
+             "mrapriori:job7:shard0:reduce", "mrapriori:driver read L7",
+             "mrapriori:ap_gen L8", "mrapriori:job8:shard-candidates",
+             "mrapriori:job8:shard0:startup", "mrapriori:job8:shard0:map",
+             "mrapriori:job8:shard0:reduce", "mrapriori:driver read L8",
+             "mrapriori:ap_gen L9", "mrapriori:job9:shard-candidates",
+             "mrapriori:job9:shard0:startup", "mrapriori:job9:shard0:map",
+             "mrapriori:job9:shard0:reduce", "mrapriori:driver read L9"}},
+        PricingCase{
+            "Sampling",
+            sampling_run,
+            0.34346653845334013,
+            {{1, 21243, 1017, 1.7225533718107529},
+             {2, 23492, 1017, 1.4118358531000785}},
+            {"load:textFile+parse", "twophase:universe", "twophase:gather:map",
+             "twophase:gather:reduce", "twophase:local-mine",
+             "twophase:union+buildHashTree", "verify:count:map-combine",
+             "verify:count:reduce", "verify:collect"}},
+        PricingCase{
+            "Son",
+            son_run,
+            0.0,
+            {{1, 262505, 1017, 22.570278123817065},
+             {2, 262505, 1017, 30.618347397530343}},
+            {"son:local-mining:startup", "son:local-mining:map",
+             "son:local-mining:reduce", "son:driver read candidates",
+             "son:build hash trees", "son:global-count:startup",
+             "son:global-count:map", "son:global-count:reduce"}},
+        PricingCase{
+            "LinSpc",
+            lin_case(fim::CombineStrategy::kSinglePass),
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 22.249120685556935},
+             {3, 313, 179, 22.2533206291933},
+             {4, 243, 227, 22.2511826091933},
+             {5, 254, 241, 22.252716420300416},
+             {6, 168, 164, 22.248370276466026},
+             {7, 59, 55, 22.242637991920574},
+             {8, 9, 9, 22.239899032829662},
+             {9, 1, 1, 22.239551720102394}},
+            {"lin:job1:startup", "lin:job1:map", "lin:job1:reduce",
+             "lin:ap_gen batch@2", "lin:job@2:startup", "lin:job@2:map",
+             "lin:job@2:reduce", "lin:ap_gen batch@3", "lin:job@3:startup",
+             "lin:job@3:map", "lin:job@3:reduce", "lin:ap_gen batch@4",
+             "lin:job@4:startup", "lin:job@4:map", "lin:job@4:reduce",
+             "lin:ap_gen batch@5", "lin:job@5:startup", "lin:job@5:map",
+             "lin:job@5:reduce", "lin:ap_gen batch@6", "lin:job@6:startup",
+             "lin:job@6:map", "lin:job@6:reduce", "lin:ap_gen batch@7",
+             "lin:job@7:startup", "lin:job@7:map", "lin:job@7:reduce",
+             "lin:ap_gen batch@8", "lin:job@8:startup", "lin:job@8:map",
+             "lin:job@8:reduce", "lin:ap_gen batch@9", "lin:job@9:startup",
+             "lin:job@9:map", "lin:job@9:reduce"}},
+        PricingCase{
+            "LinFpc",
+            lin_case(fim::CombineStrategy::kFixedPasses),
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 22.249120685556935},
+             {3, 313, 179, 22.2533206291933},
+             {4, 243, 227, 22.275723620300415},
+             {5, 259, 241, 0.0},
+             {6, 210, 164, 0.0},
+             {7, 59, 55, 22.24315642101148},
+             {8, 10, 9, 0.0},
+             {9, 1, 1, 0.0}},
+            {"lin:job1:startup", "lin:job1:map", "lin:job1:reduce",
+             "lin:ap_gen batch@2", "lin:job@2:startup", "lin:job@2:map",
+             "lin:job@2:reduce", "lin:ap_gen batch@3", "lin:job@3:startup",
+             "lin:job@3:map", "lin:job@3:reduce", "lin:ap_gen batch@4",
+             "lin:job@4:startup", "lin:job@4:map", "lin:job@4:reduce",
+             "lin:ap_gen batch@7", "lin:job@7:startup", "lin:job@7:map",
+             "lin:job@7:reduce"}},
+        PricingCase{
+            "LinDpc",
+            lin_case(fim::CombineStrategy::kDynamic),
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 22.589021646413027},
+             {3, 1771, 179, 0.0},
+             {4, 8855, 227, 0.0},
+             {5, 254, 241, 22.273168361209507},
+             {6, 210, 164, 0.0},
+             {7, 120, 55, 0.0},
+             {8, 45, 9, 0.0},
+             {9, 10, 1, 0.0},
+             {10, 1, 0, 0.0}},
+            {"lin:job1:startup", "lin:job1:map", "lin:job1:reduce",
+             "lin:ap_gen batch@2", "lin:job@2:startup", "lin:job@2:map",
+             "lin:job@2:reduce", "lin:ap_gen batch@5", "lin:job@5:startup",
+             "lin:job@5:map", "lin:job@5:reduce"}},
+        PricingCase{
+            "Pfp",
+            pfp_run,
+            0.3341285384533401,
+            {{1, 119, 23, 0.9521939008145657},
+             {2, 11233, 994, 0.7706145026602036}},
+            {"pfp:load+parse", "pfp:count-items:map-combine",
+             "pfp:count-items:reduce", "pfp:count-items:collect",
+             "pfp:group-shuffle:map", "pfp:group-shuffle:reduce",
+             "pfp:mine:collect"}},
+        PricingCase{
+            "DistEclat",
+            dist_eclat_run,
+            0.3341285384533401,
+            {{1, 119, 23, 1.2694176550254817},
+             {2, 39, 39, 0.3885595},
+             {3, 876, 876, 0.2772730052939288}},
+            {"disteclat:load+parse", "disteclat:tids:count",
+             "disteclat:vertical:map", "disteclat:vertical:reduce",
+             "disteclat:vertical:collect", "disteclat:seed-mining",
+             "disteclat:subtrees:collect"}},
+        PricingCase{
+            "BigFim",
+            big_fim_run,
+            0.0,
+            {{1, 23, 23, 22.240777471920573},
+             {2, 253, 118, 22.248487830300416},
+             {3, 118, 876, 22.338404845556937}},
+            {"mrapriori:job1:startup", "mrapriori:job1:map",
+             "mrapriori:job1:reduce", "mrapriori:driver read L1",
+             "mrapriori:ap_gen L2", "mrapriori:job2:startup",
+             "mrapriori:job2:map", "mrapriori:job2:reduce",
+             "bigfim:build prefix tree", "bigfim:phase2:startup",
+             "bigfim:phase2:map", "bigfim:phase2:reduce"}}),
+    [](const ::testing::TestParamInfo<PricingCase>& info) {
+      return std::string(info.param.name);
+    });
+// clang-format on
 
 }  // namespace
 }  // namespace yafim

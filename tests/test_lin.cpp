@@ -3,6 +3,8 @@
 // candidate counting.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fim/apriori_seq.h"
 #include "fim/spc_fpc_dpc.h"
 #include "util/rng.h"
@@ -50,6 +52,16 @@ LinRun run_strategy(const TransactionDB& db, CombineStrategy strategy,
   opt.min_support = min_support;
   opt.strategy = strategy;
   return lin_mine(ctx, fs, db, opt);
+}
+
+// Out-of-range supports abort in min_count_ceil (see test_mr_apriori.cpp).
+TEST(LinDeathTest, RejectsOutOfRangeSupport) {
+  const auto db = deep_db(3);
+  for (const double sup : {std::nan(""), 0.0, 1.5}) {
+    EXPECT_DEATH((void)run_strategy(db, CombineStrategy::kSinglePass, sup),
+                 "relative support")
+        << "min_support " << sup;
+  }
 }
 
 TEST(Lin, AllStrategiesExact) {

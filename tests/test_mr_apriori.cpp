@@ -3,6 +3,8 @@
 // MapReduce slowdown to.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fim/apriori_seq.h"
 #include "fim/mr_apriori.h"
 #include "fim/mr_encode.h"
@@ -32,6 +34,25 @@ TransactionDB random_db(u32 universe, int transactions, double density,
     tx.push_back(std::move(t));
   }
   return TransactionDB(std::move(tx));
+}
+
+// A relative support outside (0, 1] aborts in min_count_ceil for every
+// miner. NaN and negative supports used to cast to a threshold no itemset
+// reaches (0 itemsets), and 0 to one every itemset reaches.
+TEST(MrAprioriDeathTest, RejectsOutOfRangeSupport) {
+  const auto db = random_db(8, 20, 0.5, 3);
+  for (const double sup : {std::nan(""), 0.0, 1.5}) {
+    EXPECT_DEATH(
+        {
+          engine::Context ctx(small_cluster());
+          simfs::SimFS fs(ctx.cluster());
+          MrAprioriOptions opt;
+          opt.min_support = sup;
+          (void)mr_apriori_mine(ctx, fs, db, opt);
+        },
+        "relative support")
+        << "min_support " << sup;
+  }
 }
 
 TEST(MrApriori, MatchesSequentialApriori) {

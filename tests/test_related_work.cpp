@@ -4,6 +4,8 @@
 // cost profiles must reflect their designs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fim/apriori_seq.h"
 #include "fim/big_fim.h"
 #include "fim/dist_eclat.h"
@@ -44,6 +46,23 @@ FrequentItemsets reference(const TransactionDB& db, double min_support) {
 }
 
 // ---------------- SON ---------------------------------------------------
+
+// Out-of-range supports abort in min_count_ceil (see test_mr_apriori.cpp).
+TEST(SonDeathTest, RejectsOutOfRangeSupport) {
+  const auto db = random_db(8, 20, 0.5, 3);
+  for (const double sup : {std::nan(""), 0.0, 1.5}) {
+    EXPECT_DEATH(
+        {
+          engine::Context ctx(small_cluster());
+          simfs::SimFS fs(ctx.cluster());
+          SonOptions opt;
+          opt.min_support = sup;
+          (void)son_mine(ctx, fs, db, opt);
+        },
+        "relative support")
+        << "min_support " << sup;
+  }
+}
 
 TEST(Son, ExactOnRandomData) {
   const auto db = random_db(16, 300, 0.35, 1);
