@@ -739,7 +739,7 @@ void spill_get(std::span<const u8> in, size_t& pos, T& v) {
 /// Per-shuffle ledger and spill controller, driven by the shuffle core
 /// below (ShuffleMap) and by MapReduce jobs (mapreduce/job.h). `Block` is
 /// one map task's buffered output: the per-reduce bucket vector of a keyed
-/// shuffle, or the dense partial array of sum_arrays. round_trip() admits
+/// shuffle, or the encoded cell segments of sum_arrays. round_trip() admits
 /// the blocks to the memory ledger and, over budget, serializes, writes
 /// and frees them, then reads them back (deleting each spill file) for the
 /// reduce side. Blocks that never spilled stay on the ledger until the
@@ -775,12 +775,24 @@ class ShuffleSpill {
     auto path = [&](size_t i) { return prefix + "block-" + std::to_string(i); };
     u64 raw_total = 0;
     u64 stored_total = 0;
+    // A block the codec would grow (already-compact bytes, such as
+    // sum_arrays' encoded cells) is stored as is; only the blocks stored
+    // compressed are decompressed, and priced so, on the way back.
+    std::vector<bool> compressed(blocks.size(), false);
+    u64 compressed_raw = 0;
     for (size_t i = 0; i < blocks.size(); ++i) {
       std::vector<u8> bytes;
       spill_put(bytes, blocks[i]);
       check_serialization(i, blocks[i], bytes);
       const u64 raw = bytes.size();
-      if (compress) bytes = yz_compress(bytes);
+      if (compress) {
+        std::vector<u8> packed = yz_compress(bytes);
+        if (packed.size() < raw) {
+          bytes = std::move(packed);
+          compressed[i] = true;
+          compressed_raw += raw;
+        }
+      }
       const u64 stored = bytes.size();
       fs.write(path(i), std::move(bytes));
       ctx_.memory_budget().note_spill_write(raw, stored);
@@ -796,13 +808,13 @@ class ShuffleSpill {
     for (size_t i = 0; i < blocks.size(); ++i) {
       std::vector<u8> bytes = fs.read(path(i));
       fs.remove(path(i));
-      if (compress) bytes = yz_decompress(bytes);
+      if (compressed[i]) bytes = yz_decompress(bytes);
       size_t pos = 0;
       spill_get(std::span<const u8>(bytes), pos, blocks[i]);
       YAFIM_CHECK(pos == bytes.size(), "spill: trailing bytes in block");
       ctx_.memory_budget().note_spill_read(bytes.size());
     }
-    record_io(":spill-read", /*write=*/false, raw_total, stored_total,
+    record_io(":spill-read", /*write=*/false, compressed_raw, stored_total,
               blocks.size(), compress);
   }
 
@@ -831,7 +843,8 @@ class ShuffleSpill {
   }
 
   /// Price one side of the spill round trip: DFS I/O of the stored bytes
-  /// plus the codec CPU over the raw bytes (cluster spill_*_work_per_kb).
+  /// plus the codec CPU over `raw_bytes`, the bytes the codec ran over
+  /// (cluster spill_*_work_per_kb).
   void record_io(const char* suffix, bool write, u64 raw_bytes,
                  u64 stored_bytes, size_t nblocks, bool compress) {
     const sim::ClusterConfig& cluster = ctx_.cluster();
@@ -862,10 +875,10 @@ class ShuffleSpill {
 //
 // Every wide operator, and every MapReduce job (mapreduce/job.h), moves
 // data the same way: a map task folds or copies its partition into one
-// block -- reduce buckets for a keyed shuffle, a dense array for
-// sum_arrays -- and prices it with byte_size; the blocks go on the memory
-// ledger and round-trip through simfs when over budget; a reduce stage
-// consumes them. The helpers below are those steps, written once.
+// block -- reduce buckets for a keyed shuffle, the encoded nonzero cells
+// of each reduce slice for sum_arrays -- and prices it; the blocks go on
+// the memory ledger and round-trip through simfs when over budget; a
+// reduce stage consumes them. The helpers below are those steps, written once.
 
 /// One map task's keyed-shuffle output: a bucket per reduce task.
 template <typename P>
@@ -966,6 +979,85 @@ auto drain(Map& map) {
     out.emplace_back(std::move(const_cast<K&>(k)), std::move(m));
   }
   return out;
+}
+
+/// One sum_arrays map task's shuffle block: the encoded cell segments of
+/// all reduce slices back to back, and the end offset of each segment.
+/// Both halves have a spill wire format, so ShuffleSpill spills the block
+/// as it is; two buffers per map task rather than one per (map task,
+/// reduce slice) keeps small-width arrays cheap on the host.
+using CellBlock = std::pair<std::vector<u8>, std::vector<u64>>;
+
+/// sum_arrays' wire format. `cells` is cut into `slices` contiguous
+/// ranges [width*r/slices, width*(r+1)/slices); segment r holds that
+/// range's nonzero cells in ascending order, each as two LEB128 varints:
+/// the gap from the previous cell's successor (from the range start for
+/// the first), then the cell's bit pattern. Returns the encoded bytes.
+/// Zero cells cost nothing, so a partition that touched few cells ships
+/// few bytes whatever the width.
+template <typename E>
+u64 encode_cells(const std::vector<E>& cells, u32 slices, CellBlock& block) {
+  static_assert(sizeof(E) <= sizeof(u64));
+  constexpr size_t kMaxCellBytes = 20;  // two 10-byte varints
+  const auto put = [](u8* out, u64 v) {
+    for (; v >= 0x80; v >>= 7) *out++ = static_cast<u8>(v | 0x80);
+    *out++ = static_cast<u8>(v);
+    return out;
+  };
+  auto& [bytes, ends] = block;
+  const size_t width = cells.size();
+  const auto nonzero = static_cast<size_t>(std::count_if(
+      cells.begin(), cells.end(), [](E c) { return c != E{}; }));
+  bytes.resize(nonzero * kMaxCellBytes);
+  ends.resize(slices);
+  u8* out = bytes.data();
+  for (u32 r = 0; r < slices; ++r) {
+    size_t next = width * r / slices;
+    const size_t end = width * (r + 1) / slices;
+    for (size_t i = next; i < end; ++i) {
+      if (cells[i] == E{}) continue;
+      u64 bits = 0;
+      std::memcpy(&bits, &cells[i], sizeof(E));
+      out = put(put(out, i - next), bits);
+      next = i + 1;
+    }
+    ends[r] = static_cast<u64>(out - bytes.data());
+  }
+  bytes.resize(static_cast<size_t>(out - bytes.data()));
+  bytes.shrink_to_fit();
+  return bytes.size();
+}
+
+/// Adds every cell of segment `r` of `block` into `out`, the segment's
+/// range starting at `begin`; returns the number of cells merged.
+template <typename E>
+u64 decode_cells(const CellBlock& block, u32 r, size_t begin,
+                 std::vector<E>& out) {
+  const auto& [bytes, ends] = block;
+  YAFIM_CHECK(r < ends.size() && ends[r] <= bytes.size(),
+              "sum_arrays: malformed cell block");
+  const u8* p = bytes.data() + (r ? ends[r - 1] : 0);
+  const u8* const end = bytes.data() + ends[r];
+  const auto get = [&]() {
+    u64 v = 0;
+    for (u32 shift = 0;; shift += 7) {
+      YAFIM_CHECK(p < end && shift < 64, "sum_arrays: malformed cell segment");
+      const u8 b = *p++;
+      v |= u64{b & 0x7fu} << shift;
+      if (b < 0x80) return v;
+    }
+  };
+  u64 merged = 0;
+  for (size_t next = begin; p < end; ++merged) {
+    const size_t i = next + static_cast<size_t>(get());
+    const u64 bits = get();
+    YAFIM_CHECK(i < out.size(), "sum_arrays: cell id out of range");
+    E v;
+    std::memcpy(&v, &bits, sizeof(E));
+    out[i] += v;
+    next = i + 1;
+  }
+  return merged;
 }
 
 /// The map side of one RDD shuffle: consumes `node` for the linter, runs
@@ -1447,13 +1539,14 @@ class RDD {
   /// `width` candidate ids. Every element must be a std::vector of exactly
   /// `width` cells (EngineError{kArrayWidthMismatch} otherwise).
   ///
-  /// Map side folds each partition's arrays into one accumulator, so
-  /// exactly one width-cell array per map task crosses the shuffle: priced
-  /// bytes are `map_tasks * byte_size(vector<E>(width))`, independent of
-  /// how many input arrays (or candidate hits) the partitions held -- the
-  /// whole point versus keying the shuffle on itemsets. Reduce side slices
-  /// the index space contiguously over tasks and sums the per-map
-  /// partials. Returns the fully merged array on the driver.
+  /// Map side folds each partition's arrays into one (a lone array is used
+  /// as is), one work unit per cell per input array, and ships only its
+  /// nonzero cells: one delta+varint segment per reduce slice
+  /// (detail::encode_cells), priced at the encoded size -- so the shuffle
+  /// scales with the cells a partition actually touched, not with `width`.
+  /// Reduce side slices the index space contiguously over tasks; task r
+  /// decodes segment r of every block, one work unit per cell merged.
+  /// Returns the fully merged array on the driver.
   template <typename E = typename detail::ArrayTraits<T>::elem_type>
     requires(detail::ArrayTraits<T>::is_array &&
              std::is_arithmetic_v<typename detail::ArrayTraits<T>::elem_type>)
@@ -1461,19 +1554,28 @@ class RDD {
                             const std::string& label = "sumArrays") const {
     Context& ctx = node_->ctx();
     DetSan& ds = ctx.detsan();
+    const u32 reduce_tasks = static_cast<u32>(std::max<size_t>(
+        1, std::min<size_t>(ctx.default_partitions(), width)));
     std::atomic<bool> bad_width{false};
-    detail::ShuffleMap<std::vector<E>> shuffle(
+    detail::ShuffleMap<detail::CellBlock> shuffle(
         *node_, label, label + ":map-combine",
-        [&](const std::vector<T>& in, u32 pid, std::vector<E>& acc) -> u64 {
-          acc.assign(width, E{});
+        [&](const std::vector<T>& in, u32 pid,
+            detail::CellBlock& block) -> u64 {
           for (const auto& arr : in) {
             if (arr.size() != width) {
               bad_width.store(true, std::memory_order_relaxed);
               return 0;
             }
-            work::add(width);
-            for (size_t i = 0; i < width; ++i) acc[i] += arr[i];
           }
+          work::add(static_cast<u64>(width) * in.size());
+          std::vector<E> acc;
+          if (in.size() != 1) {
+            acc.assign(width, E{});
+            for (const auto& arr : in) {
+              for (size_t i = 0; i < width; ++i) acc[i] += arr[i];
+            }
+          }
+          const std::vector<E>& sum = in.size() == 1 ? in.front() : acc;
           // Permuted-order re-accumulation: += over a permuted element
           // order must land on the same cells. Exact for integers; for
           // floating-point cells this is the non-associativity catch.
@@ -1484,10 +1586,10 @@ class RDD {
               work::add(width);
               for (size_t c = 0; c < width; ++c) racc[c] += in[i][c];
             }
-            detail::detsan_check_ordered(ds, node_->id(), "sum_arrays", acc,
+            detail::detsan_check_ordered(ds, node_->id(), "sum_arrays", sum,
                                          racc);
           }
-          return byte_size(acc);
+          return detail::encode_cells(sum, reduce_tasks, block);
         });
     if (bad_width.load(std::memory_order_relaxed)) {
       throw EngineError(
@@ -1496,16 +1598,11 @@ class RDD {
     }
     obs::count(obs::CounterId::kArrayReduceBytes, shuffle.bytes());
 
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks = static_cast<u32>(std::max<size_t>(
-        1, std::min<size_t>(ctx.default_partitions(), width)));
     std::vector<E> merged(width, E{});
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      const size_t begin = width * r / reduce_tasks;
-      const size_t end = width * (r + 1) / reduce_tasks;
-      work::add(static_cast<u64>(end - begin) * map_tasks);
-      for (const std::vector<E>& part : shuffle.blocks()) {
-        for (size_t i = begin; i < end; ++i) merged[i] += part[i];
+      for (const detail::CellBlock& block : shuffle.blocks()) {
+        work::add(detail::decode_cells(block, r, width * r / reduce_tasks,
+                                       merged));
       }
     });
     obs::count(obs::CounterId::kArrayReduceCells, width);

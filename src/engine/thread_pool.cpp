@@ -33,6 +33,8 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   if (obs::enabled()) {
     // Split each task's latency into queue wait vs run time; the gap
     // between the two is scheduling pressure (more tasks than threads).
+    // The summed wait grows with the number of tasks queued behind the
+    // workers, so the longest single wait is kept alongside it.
     fn = [fn = std::move(fn),
           enqueued_us = obs::Tracer::instance().now_us()] {
       obs::Tracer& tracer = obs::Tracer::instance();
@@ -41,8 +43,10 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
       // can make the later timestamp the *smaller* one; the unsigned
       // subtraction would then credit ~2^64 us of queue wait. Clamp to 0.
       if (started_us > enqueued_us) {
-        obs::count(obs::CounterId::kPoolQueueWaitUs,
+        obs::count(obs::CounterId::kPoolQueueWaitUsSum,
                    started_us - enqueued_us);
+        obs::count_max(obs::CounterId::kPoolQueueWaitUsMax,
+                       started_us - enqueued_us);
       }
       fn();
       const u64 finished_us = tracer.now_us();

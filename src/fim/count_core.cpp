@@ -183,9 +183,16 @@ std::vector<CountPair> count_candidate_trees(
             .sum_arrays(id_space, pass_name + ":count");
   } else if (opt.count_mode == CountMode::kCandidateId) {
     // Dense probing: per-transaction hash-tree walks, no per-hit itemset
-    // copies.
-    auto broadcast_trees =
-        ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
+    // copies. A tree with a pair index (a complete C2) is counted through
+    // the triangular pair kernel instead of its walk; the indexes ship with
+    // the trees and are priced with them.
+    u64 bytes = tree_bytes;
+    if (use_hash_tree) {
+      for (const HashTree& tree : *trees) {
+        if (tree.pair_index()) bytes += tree.pair_index()->serialized_bytes();
+      }
+    }
+    auto broadcast_trees = ctx.broadcast(trees, bytes, pass_name + ":trees");
     counts =
         transactions
             .map_partitions([broadcast_trees, use_hash_tree, id_space](
@@ -195,7 +202,10 @@ std::vector<CountPair> count_candidate_trees(
                 for (const HashTree& tree : **broadcast_trees) {
                   u64* cells = acc.data() + tree.id_offset();
                   auto on_hit = [cells](u32 ci) { ++cells[ci]; };
-                  if (use_hash_tree) {
+                  if (use_hash_tree && tree.pair_index()) {
+                    static thread_local std::vector<u32> ranks;
+                    tree.pair_index()->count(t, ranks, cells);
+                  } else if (use_hash_tree) {
                     static thread_local HashTree::Probe probe;
                     tree.for_each_contained(t, probe, on_hit);
                   } else {

@@ -16,9 +16,14 @@
 //   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
 //                         a reduce_by_key shuffle.
 //   * kCandidateId     -- dense per-partition u64 arrays indexed by
-//                         batch-global candidate id, merged via sum_arrays.
+//                         batch-global candidate id, merged via sum_arrays
+//                         (which ships only nonzero cells). A tree with a
+//                         PairIndex (a complete C2) is counted by the
+//                         triangular pair kernel instead of its walk; the
+//                         index is broadcast and priced with the trees.
 //   * kVerticalBitmap  -- cached per-partition VerticalBitmapIndex answers
-//                         each candidate with AND + popcount.
+//                         each candidate with AND + popcount; merged via
+//                         sum_arrays.
 //   * partitioned      -- any mode degrades here when the trees outgrow the
 //                         executor budget: trees sharded by candidate
 //                         prefix, transactions routed to their shards.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace yafim::fim {
 
@@ -18,6 +19,54 @@ struct BuildNode {
 };
 
 }  // namespace
+
+std::optional<PairIndex> PairIndex::of(const Item* pairs, u32 size) {
+  if (size == 0) return std::nullopt;
+  // Row 0 pairs x_0 with every other item, so it names all n items.
+  std::vector<Item> items{pairs[0]};
+  for (u32 ci = 0; ci < size && pairs[2 * ci] == pairs[0]; ++ci) {
+    items.push_back(pairs[2 * ci + 1]);
+  }
+  const u64 n = items.size();
+  if (n * (n - 1) / 2 != size || items.back() >= u64{2} * size ||
+      std::adjacent_find(items.begin(), items.end(),
+                         std::greater_equal<>()) != items.end()) {
+    return std::nullopt;
+  }
+  u32 ci = 0;
+  for (u32 a = 0; a < n; ++a) {
+    for (u32 b = a + 1; b < n; ++b, ++ci) {
+      if (pairs[2 * ci] != items[a] || pairs[2 * ci + 1] != items[b]) {
+        return std::nullopt;
+      }
+    }
+  }
+  PairIndex index;
+  index.rank_.assign(items.back() + 1, kNoRank);
+  index.row_.resize(n);
+  for (u32 a = 0; a < n; ++a) {
+    index.rank_[items[a]] = a;
+    index.row_[a] = static_cast<i64>(a * (2 * n - a - 1) / 2) - a - 1;
+  }
+  return index;
+}
+
+void PairIndex::count(const Transaction& t, std::vector<u32>& ranks,
+                      u64* cells) const {
+  ranks.clear();
+  size_t looked_up = 0;
+  for (Item item : t) {
+    if (item >= rank_.size()) break;  // sorted: no later item has a rank
+    ++looked_up;
+    if (rank_[item] != kNoRank) ranks.push_back(rank_[item]);
+  }
+  const size_t m = ranks.size();
+  engine::work::add(looked_up + m * (m - 1) / 2);
+  for (size_t a = 0; a + 1 < m; ++a) {
+    const i64 row = row_[ranks[a]];
+    for (size_t b = a + 1; b < m; ++b) ++cells[row + ranks[b]];
+  }
+}
 
 u32 HashTree::default_branching(u64 num_candidates, u32 k) {
   if (num_candidates == 0 || k == 0) return 8;
@@ -131,6 +180,7 @@ HashTree::HashTree(std::vector<Itemset> candidates, u32 branching,
                           src.children.end());
     }
   }
+  if (k_ == 2) pair_index_ = PairIndex::of(item_arena_.data(), size_);
 }
 
 std::vector<Itemset> HashTree::candidates() const {

@@ -16,8 +16,13 @@
 // therefore never chases a heap pointer: every hop is an index into one of
 // the four arrays, and the broadcast payload is four flat buffers instead of
 // a node-count's worth of small allocations.
+//
+// A k = 2 tree over a complete ordered pair set also carries a PairIndex,
+// the triangular-array structure the dense counting path uses for pass 2
+// in place of the walk.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "engine/work.h"
@@ -34,7 +39,8 @@ enum class CountMode {
   kItemsetKey,
   /// Dense: count into fixed-width arrays indexed by candidate id
   /// (tree-local index + the tree's batch-global id offset); itemsets are
-  /// materialized from the broadcast tree only for MinSup survivors.
+  /// materialized from the broadcast tree only for MinSup survivors. A
+  /// complete C2 is counted through its PairIndex, not a tree walk.
   kCandidateId,
   /// Vertical: per-item transaction bitmaps built once per partition
   /// (fim/bitmap.h); candidate support = popcount of the word-parallel AND
@@ -82,6 +88,38 @@ struct DenseIdHash {
   size_t operator()(u32 id) const {
     return static_cast<size_t>(mix64(u64{id} + 0x9e3779b97f4a7c15ULL));
   }
+};
+
+/// The classic Apriori pass-2 counting structure, for a k = 2 candidate set
+/// that is the complete, lexicographically ordered pair set over n distinct
+/// items x_0 < ... < x_{n-1} -- which is what apriori_gen(L1, 2) returns.
+/// Candidate (x_a, x_b), a < b, then has id row[a] + b with
+/// row[a] = a(2n-a-1)/2 - a - 1 (the triangular index), so a transaction is
+/// counted by ranking its items and bumping one cell per ranked pair: no
+/// tree walk, no containment checks.
+class PairIndex {
+ public:
+  /// The index of a k = 2 item arena (`size` pairs, 2 items each), or
+  /// nullopt unless the pairs are complete and in order over their items
+  /// and the rank table (one slot per item id up to x_{n-1}) is no wider
+  /// than the arena itself.
+  static std::optional<PairIndex> of(const Item* pairs, u32 size);
+
+  /// Wire size when shipped next to its tree: header, rank table, rows.
+  u64 serialized_bytes() const {
+    return 16 + rank_.size() * sizeof(u32) + row_.size() * sizeof(i64);
+  }
+
+  /// Adds 1 to cells[id] for every candidate pair contained in `t`
+  /// (canonical). One work unit per item looked up, one per pair counted.
+  /// `ranks` is per-thread scratch.
+  void count(const Transaction& t, std::vector<u32>& ranks, u64* cells) const;
+
+ private:
+  static constexpr u32 kNoRank = 0xffffffffu;
+
+  std::vector<u32> rank_;  ///< item id -> rank, kNoRank if not a pair item
+  std::vector<i64> row_;   ///< row_[a] + b = id of the pair of ranks (a, b)
 };
 
 class HashTree {
@@ -139,8 +177,15 @@ class HashTree {
   }
 
   /// Estimated wire size when broadcast to workers (candidate payload plus
-  /// node structure).
+  /// node structure; not the pair index, which only the paths that count
+  /// through it ship and price).
   u64 serialized_bytes() const;
+
+  /// The pass-2 pair index, derived with the tree when its candidates are
+  /// a complete ordered pair set (PairIndex::of); null otherwise.
+  const PairIndex* pair_index() const {
+    return pair_index_ ? &*pair_index_ : nullptr;
+  }
 
   /// Arena introspection (tests): every candidate id sits in exactly one
   /// leaf bucket, so the bucket arena holds exactly size() slots; the child
@@ -261,6 +306,7 @@ class HashTree {
   u32 branching_ = 8;
   u32 leaf_capacity_ = 16;
   u32 num_leaves_ = 0;
+  std::optional<PairIndex> pair_index_;
 };
 
 // --- partitioned candidate store (broadcast fallback) --------------------

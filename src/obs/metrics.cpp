@@ -29,7 +29,8 @@ const char* counter_name(CounterId id) {
     case CounterId::kCacheEvictedBytes: return "cache.evicted_bytes";
     case CounterId::kNodesBlacklisted: return "fault.nodes_blacklisted";
     case CounterId::kPoolTasks: return "pool.tasks";
-    case CounterId::kPoolQueueWaitUs: return "pool.queue_wait_us";
+    case CounterId::kPoolQueueWaitUsSum: return "pool.queue_wait_us_sum";
+    case CounterId::kPoolQueueWaitUsMax: return "pool.queue_wait_us_max";
     case CounterId::kPoolTaskRunUs: return "pool.task_run_us";
     case CounterId::kHashTreeNodesVisited: return "hash_tree.nodes_visited";
     case CounterId::kHashTreeCandChecks: return "hash_tree.candidate_checks";

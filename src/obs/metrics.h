@@ -58,7 +58,8 @@ enum class CounterId : u32 {
   kCacheEvictedBytes,      ///< bytes freed by LRU evictions
   kNodesBlacklisted,       ///< executors blacklisted after repeated failures
   kPoolTasks,              ///< tasks executed by the thread pool
-  kPoolQueueWaitUs,        ///< total task time spent queued, microseconds
+  kPoolQueueWaitUsSum,     ///< task time spent queued, summed over tasks, us
+  kPoolQueueWaitUsMax,     ///< longest single-task queue wait, microseconds
   kPoolTaskRunUs,          ///< total task run time, microseconds
   kHashTreeNodesVisited,   ///< hash-tree nodes touched by probes
   kHashTreeCandChecks,     ///< candidate containment checks at leaves
@@ -107,6 +108,13 @@ const char* counter_name(CounterId id);
 class Counter {
  public:
   void add(u64 delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  /// Raise the value to `v` if it is lower (a running maximum).
+  void raise_to(u64 v) {
+    u64 cur = value_.load(std::memory_order_relaxed);
+    while (cur < v &&
+           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   u64 value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
 
@@ -139,6 +147,12 @@ class CounterRegistry {
 inline void count(CounterId id, u64 delta = 1) {
   if (!enabled()) return;
   CounterRegistry::instance().at(id).add(delta);
+}
+
+/// Raise a well-known maximum counter to `v` iff tracing is enabled.
+inline void count_max(CounterId id, u64 v) {
+  if (!enabled()) return;
+  CounterRegistry::instance().at(id).raise_to(v);
 }
 
 /// Current value of a well-known counter (0 while never traced).

@@ -6,19 +6,28 @@
 // pass batching, fault/corruption injection, checkpoint resume and both
 // engines, with mode-invariant observability counters (candidate
 // generation, broadcast/DFS traffic) agreeing as well. Also covers the
-// sum_arrays RDD action the dense paths are built on, the adversarial-hash
-// reduce bucket case, and the stage-pricing exactness fixes (split_work).
+// pass-2 triangular pair kernel against the hash-tree probe, the
+// sum_arrays RDD action the dense paths are built on and its sparse wire
+// format, the adversarial-hash reduce bucket case, and the stage-pricing
+// exactness fixes (split_work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "datagen/benchmarks.h"
 #include "engine/error.h"
 #include "engine/rdd.h"
 #include "fim/apriori_seq.h"
+#include "fim/candidate_gen.h"
 #include "fim/checkpoint.h"
+#include "fim/count_core.h"
+#include "fim/fp_growth.h"
 #include "fim/mr_apriori.h"
 #include "fim/yafim.h"
 #include "obs/metrics.h"
@@ -181,7 +190,8 @@ TEST(CountModes, MrAprioriBitIdenticalAcrossModes) {
 
 /// Counters that must not depend on how counting is performed at all:
 /// candidate generation and broadcast/DFS traffic are identical across all
-/// three modes.
+/// three modes -- except that kCandidateId also broadcasts the pass-2 pair
+/// index.
 const obs::CounterId kModeInvariantCounters[] = {
     obs::CounterId::kCandidatesGenerated,
     obs::CounterId::kCandidatesPruned,
@@ -189,8 +199,22 @@ const obs::CounterId kModeInvariantCounters[] = {
     obs::CounterId::kDfsReadBytes,
 };
 
-/// Probe-effort counters: identical between the two probing modes, and
-/// exactly zero for the bitmap mode (no tree walking happens at all).
+/// The C2 tree yafim builds for `db` at its default tree shape:
+/// apriori_gen over the frequent items of a reference run.
+HashTree c2_tree(const TransactionDB& db) {
+  const MiningRun run = run_yafim(db, CountMode::kItemsetKey, 1);
+  std::vector<Itemset> l1;
+  for (const auto& [itemset, support] : run.itemsets.level(1)) {
+    l1.push_back(itemset);
+  }
+  const YafimOptions defaults;
+  return HashTree(apriori_gen(l1, 2), defaults.branching,
+                  defaults.leaf_capacity);
+}
+
+/// Probe-effort counters: identical between the two probing modes for
+/// every tree they both walk, and exactly zero for the bitmap mode (no
+/// tree walking happens at all).
 const obs::CounterId kProbeCounters[] = {
     obs::CounterId::kHashTreeNodesVisited,
     obs::CounterId::kHashTreeCandChecks,
@@ -210,6 +234,9 @@ std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
 
 TEST(CountModes, ModeInvariantCountersAgree) {
   const auto db = random_db(15, 220, 0.35, 21);
+  const HashTree c2 = c2_tree(db);
+  ASSERT_NE(c2.pair_index(), nullptr);
+  const u64 pair_bytes = c2.pair_index()->serialized_bytes();
   for (u32 combine : {1u, 3u}) {
     const auto faithful = traced_counters(
         db, CountMode::kItemsetKey, combine, small_cluster(),
@@ -220,7 +247,11 @@ TEST(CountModes, ModeInvariantCountersAgree) {
                                           kModeInvariantCounters);
       ASSERT_EQ(faithful.size(), values.size());
       for (size_t i = 0; i < faithful.size(); ++i) {
-        EXPECT_EQ(faithful[i], values[i])
+        const bool shipped_pair_index =
+            mode == CountMode::kCandidateId &&
+            kModeInvariantCounters[i] == obs::CounterId::kBroadcastBytes;
+        EXPECT_EQ(faithful[i] + (shipped_pair_index ? pair_bytes : 0),
+                  values[i])
             << count_mode_name(mode) << " "
             << obs::counter_name(kModeInvariantCounters[i])
             << " combine=" << combine;
@@ -230,12 +261,27 @@ TEST(CountModes, ModeInvariantCountersAgree) {
 }
 
 TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
-  const auto db = random_db(15, 220, 0.35, 21);
+  // Dense enough that pass 3 has candidates: both modes walk those trees.
+  const auto db = random_db(15, 220, 0.5, 21);
   const auto faithful = traced_counters(db, CountMode::kItemsetKey, 1,
                                         small_cluster(), kProbeCounters);
   const auto dense = traced_counters(db, CountMode::kCandidateId, 1,
                                      small_cluster(), kProbeCounters);
-  EXPECT_EQ(faithful, dense);
+  // kCandidateId counts C2 through the pair kernel, so it walks exactly
+  // the trees kItemsetKey walks minus the C2 tree.
+  const HashTree c2 = c2_tree(db);
+  ASSERT_NE(c2.pair_index(), nullptr);
+  obs::CounterRegistry::instance().reset_all();
+  obs::set_enabled(true);
+  HashTree::Probe probe;
+  for (const Transaction& t : db.transactions()) {
+    c2.for_each_contained(t, probe, [](u32) {});
+  }
+  obs::set_enabled(false);
+  for (size_t i = 0; i < faithful.size(); ++i) {
+    EXPECT_EQ(faithful[i] - obs::counter_value(kProbeCounters[i]), dense[i])
+        << obs::counter_name(kProbeCounters[i]);
+  }
   EXPECT_GT(dense[0], 0u) << "hash-tree probes missing";
 }
 
@@ -309,6 +355,138 @@ TEST(CountModes, BitIdenticalUnderComposedMemShrinkAndTaskFailures) {
   }
 }
 
+// ---- pass-2 triangular pair kernel --------------------------------------
+
+/// apriori_gen(L1, 2) over the given frequent items.
+std::vector<Itemset> all_pairs(const std::vector<Item>& items) {
+  std::vector<Itemset> l1;
+  for (Item item : items) l1.push_back({item});
+  return apriori_gen(l1, 2);
+}
+
+/// Every candidate's support over `txns`, in the batch-global id space of
+/// `ct`, counted through count_candidate_trees in `mode` (min_count 1, so
+/// every nonzero cell comes back).
+std::vector<u64> core_counts(const std::vector<Transaction>& txns,
+                             const CandidateTrees& ct, CountMode mode) {
+  engine::Context ctx(small_cluster());
+  auto rdd = ctx.parallelize(txns);
+  CountCoreOptions opt;
+  opt.count_mode = mode;
+  opt.min_count = 1;
+  opt.pass_name = "pass2";
+  std::map<Itemset, u64> id;
+  for (const HashTree& tree : *ct.trees) {
+    for (u32 ci = 0; ci < tree.size(); ++ci) {
+      id[tree.candidate(ci)] = tree.id_offset() + ci;
+    }
+  }
+  std::vector<u64> out(ct.id_space, 0);
+  for (const auto& [itemset, support] : count_candidate_trees(
+           ctx, rdd, ct.trees, ct.bytes, ct.id_space, nullptr, opt)) {
+    out[id.at(itemset)] = support;
+  }
+  return out;
+}
+
+/// The same counts from a direct hash-tree probe of every transaction.
+std::vector<u64> probe_counts(const std::vector<Transaction>& txns,
+                              const CandidateTrees& ct) {
+  std::vector<u64> out(ct.id_space, 0);
+  HashTree::Probe probe;
+  for (const Transaction& t : txns) {
+    for (const HashTree& tree : *ct.trees) {
+      tree.for_each_contained(
+          t, probe, [&](u32 ci) { ++out[tree.id_offset() + ci]; });
+    }
+  }
+  return out;
+}
+
+/// Pair kernel (kCandidateId), hash-tree probe and kItemsetKey agree cell
+/// for cell; returns the hash-tree nodes the kCandidateId run visited.
+u64 expect_counts_agree(const std::vector<Transaction>& txns,
+                        const CandidateTrees& ct) {
+  const auto probed = probe_counts(txns, ct);
+  EXPECT_GT(*std::max_element(probed.begin(), probed.end()), 0u);
+  EXPECT_EQ(core_counts(txns, ct, CountMode::kItemsetKey), probed);
+  obs::CounterRegistry::instance().reset_all();
+  obs::set_enabled(true);
+  EXPECT_EQ(core_counts(txns, ct, CountMode::kCandidateId), probed);
+  obs::set_enabled(false);
+  return obs::counter_value(obs::CounterId::kHashTreeNodesVisited);
+}
+
+TEST(PairKernel, CompleteC2MatchesTreeProbeAndItemsetKey) {
+  const auto db = random_db(20, 300, 0.3, 61);
+  std::vector<Item> items(20);
+  std::iota(items.begin(), items.end(), 0);
+  const auto ct = build_candidate_trees({all_pairs(items)}, 8, 16);
+  ASSERT_NE(ct.trees->front().pair_index(), nullptr);
+  // Counted by the kernel alone: no tree walk at all.
+  EXPECT_EQ(expect_counts_agree(db.transactions(), ct), 0u);
+}
+
+TEST(PairKernel, IncompleteC2FallsBackToTheTree) {
+  const auto db = random_db(20, 300, 0.3, 62);
+  std::vector<Item> items(20);
+  std::iota(items.begin(), items.end(), 0);
+  auto pairs = all_pairs(items);
+  pairs.erase(pairs.begin() + 7);
+  const auto ct = build_candidate_trees({pairs}, 8, 16);
+  EXPECT_EQ(ct.trees->front().pair_index(), nullptr);
+  EXPECT_GT(expect_counts_agree(db.transactions(), ct), 0u);
+}
+
+TEST(PairKernel, CombinedLevelsShareOneIdSpace) {
+  // combine_passes = 2: a level-2 tree (pair kernel) and a level-3 tree
+  // (hash-tree probe) counted into one array, C3's ids after C2's.
+  const auto db = random_db(12, 300, 0.45, 63);
+  std::vector<Item> items(12);
+  std::iota(items.begin(), items.end(), 0);
+  auto c2 = all_pairs(items);
+  auto c3 = apriori_gen(c2, 3);
+  const auto ct = build_candidate_trees({c2, c3}, 8, 16);
+  ASSERT_EQ(ct.trees->size(), 2u);
+  ASSERT_NE((*ct.trees)[0].pair_index(), nullptr);
+  EXPECT_EQ((*ct.trees)[1].pair_index(), nullptr);
+  EXPECT_EQ((*ct.trees)[1].id_offset(), (*ct.trees)[0].size());
+  EXPECT_GT(expect_counts_agree(db.transactions(), ct), 0u);
+}
+
+TEST(PairKernel, SparseRanksAndItemsAboveTheLargestRank) {
+  // Ranked items are a sparse subset of 0..39, the largest 22; transactions
+  // include ones with no or one ranked item and items above 22.
+  const std::vector<Item> ranked{1, 4, 6, 9, 13, 17, 22};
+  const auto ct = build_candidate_trees({all_pairs(ranked)}, 8, 16);
+  ASSERT_NE(ct.trees->front().pair_index(), nullptr);
+  std::vector<Transaction> txns{
+      {}, {1}, {2, 3}, {4, 30, 35}, {23, 24, 39}, {0, 22},
+      {22, 23}, {1, 22, 38}, {5, 7, 8, 10, 11}, {9, 13, 17, 22, 23, 39}};
+  Rng rng(64);
+  for (int i = 0; i < 200; ++i) {
+    Transaction t;
+    for (Item item = 0; item < 40; ++item) {
+      if (rng.bernoulli(0.3)) t.push_back(item);
+    }
+    txns.push_back(std::move(t));
+  }
+  EXPECT_EQ(expect_counts_agree(txns, ct), 0u);
+}
+
+TEST(PairKernel, YafimOnT10MatchesFpGrowth) {
+  const auto bench = datagen::make_t10i4d100k(/*scale=*/0.1);
+  engine::Context ctx(small_cluster());
+  simfs::SimFS fs(ctx.cluster());
+  YafimOptions opt;
+  opt.min_support = bench.paper_min_support;
+  opt.count_mode = CountMode::kCandidateId;
+  const auto run = yafim_mine(ctx, fs, bench.db, opt);
+  const auto reference = fp_growth_mine(bench.db, bench.paper_min_support);
+  ASSERT_GT(run.passes.size(), 2u);
+  EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
+}
+
 // ---- sum_arrays ---------------------------------------------------------
 
 TEST(SumArrays, ElementwiseSumAcrossPartitions) {
@@ -330,26 +508,102 @@ TEST(SumArrays, ElementwiseSumAcrossPartitions) {
   EXPECT_EQ(merged, expected);
 }
 
-TEST(SumArrays, ShuffleBytesPricedAsArrayWidthPerMapTask) {
+/// Length of `v` as a LEB128 varint.
+u64 varint_len(u64 v) {
+  u64 n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+const sim::StageRecord* find_stage(const engine::Context& ctx,
+                                   const std::string& label) {
+  for (const auto& s : ctx.report().stages()) {
+    if (s.label == label) return &s;
+  }
+  return nullptr;
+}
+
+TEST(SumArrays, ShuffleBytesAreTheEncodedNonzeroCells) {
   engine::Context ctx(small_cluster());
   const size_t width = 1000;
-  const u32 parts = 5;
-  std::vector<std::vector<u64>> arrays(parts * 3,
-                                       std::vector<u64>(width, 1));
-  (void)ctx.parallelize(std::move(arrays), parts).sum_arrays(width, "sum");
+  const u64 big = (u64{1} << 32) + 5;  // does not fit in 32 bits
+  // Four arrays over three partitions: {a0, a1}, {a2}, {a3}. Partition 1
+  // is all zeros.
+  std::vector<std::vector<u64>> arrays(4, std::vector<u64>(width, 0));
+  arrays[0][0] = 1;
+  arrays[0][1] = 300;
+  arrays[1][1] = 7;
+  arrays[1][width - 1] = big;
+  arrays[3][500] = 3;
+  const auto merged =
+      ctx.parallelize(std::move(arrays), 3).sum_arrays(width, "sum");
 
-  u64 shuffle = 0;
-  bool saw_map = false, saw_reduce = false;
-  for (const auto& s : ctx.report().stages()) {
-    shuffle += s.shuffle_bytes;
-    if (s.label == "sum:map-combine") saw_map = true;
-    if (s.label == "sum:reduce") saw_reduce = true;
-  }
-  EXPECT_TRUE(saw_map);
-  EXPECT_TRUE(saw_reduce);
-  // One width-cell array per map task: 8-byte length prefix + width * u64,
-  // independent of how many input arrays each partition held.
-  EXPECT_EQ(shuffle, parts * (8 + width * sizeof(u64)));
+  std::vector<u64> expected(width, 0);
+  expected[0] = 1;
+  expected[1] = 307;
+  expected[width - 1] = big;
+  expected[500] = 3;
+  EXPECT_EQ(merged, expected);
+
+  // Each nonzero cell costs varint(gap) + varint(count), the gap measured
+  // from the previous cell's successor within its reduce slice (from the
+  // slice start for the first). The all-zero partition ships nothing but
+  // its empty segments.
+  const size_t slices = std::min<size_t>(ctx.default_partitions(), width);
+  ASSERT_GT(slices, 1u);
+  auto slice_start = [&](size_t i) {
+    size_t r = 0;
+    while (width * (r + 1) / slices <= i) ++r;
+    return width * r / slices;
+  };
+  auto encoded = [&](const std::vector<std::pair<size_t, u64>>& cells) {
+    u64 bytes = 0;
+    size_t next = 0;
+    for (const auto& [i, v] : cells) {
+      next = std::max(next, slice_start(i));
+      bytes += varint_len(i - next) + varint_len(v);
+      next = i + 1;
+    }
+    return bytes;
+  };
+  const u64 part0 = encoded({{0, 1}, {1, 307}, {width - 1, big}});
+  const u64 part2 = encoded({{500, 3}});
+  // Cell width-1 sits at gap 999 - slice start into the last slice, and
+  // the 2^32 + 5 count takes five varint bytes.
+  EXPECT_EQ(part0, 1 + 1 + 1 + 2 +
+                       varint_len(width - 1 - slice_start(width - 1)) + 5);
+  const sim::StageRecord* map = find_stage(ctx, "sum:map-combine");
+  const sim::StageRecord* reduce = find_stage(ctx, "sum:reduce");
+  ASSERT_NE(map, nullptr);
+  ASSERT_NE(reduce, nullptr);
+  EXPECT_EQ(map->shuffle_bytes, part0 + part2);
+  EXPECT_EQ(ctx.report().total_shuffle_bytes(), part0 + part2);
+  // Map side scans every cell of every input array; reduce side merges
+  // only the cells that crossed the shuffle.
+  u64 map_work = 0, reduce_work = 0;
+  for (const auto& t : map->tasks) map_work += t.work;
+  for (const auto& t : reduce->tasks) reduce_work += t.work;
+  EXPECT_EQ(map_work, 4 * width);
+  EXPECT_EQ(reduce_work, 4u);
+}
+
+TEST(SumArrays, AllZeroInputShipsNoCells) {
+  engine::Context ctx(small_cluster());
+  std::vector<std::vector<u64>> arrays(6, std::vector<u64>(64, 0));
+  const auto merged =
+      ctx.parallelize(std::move(arrays), 3).sum_arrays(64, "sum");
+  EXPECT_EQ(merged, std::vector<u64>(64, 0));
+  EXPECT_EQ(ctx.report().total_shuffle_bytes(), 0u);
+}
+
+TEST(SumArrays, SignedAndFloatingCellsRoundTrip) {
+  engine::Context ctx(small_cluster());
+  std::vector<std::vector<i64>> ints{{-5, 0, 3}, {2, 0, -1}, {0, 0, -9}};
+  EXPECT_EQ(ctx.parallelize(std::move(ints), 2).sum_arrays(3),
+            (std::vector<i64>{-3, 0, -7}));
+  std::vector<std::vector<double>> reals{{0.5, -2.25}, {0.0, 1.0}};
+  EXPECT_EQ(ctx.parallelize(std::move(reals), 2).sum_arrays(2),
+            (std::vector<double>{0.5, -1.25}));
 }
 
 TEST(SumArrays, WidthMismatchThrows) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -245,9 +246,10 @@ TEST(MemoryPressure, ShuffleSpillBitIdenticalAndCounted) {
     // Every spilled block was read back (restore is not optional).
     EXPECT_EQ(mb.spill_blocks_read(), mb.spill_blocks_written())
         << count_mode_name(mode);
-    // Count arrays are zero-heavy, and keyed blocks carry mostly-zero
-    // length prefixes and counts: the yz codec must actually shrink them,
-    // and the stored-bytes ledger must see the compressed size.
+    // Keyed blocks carry mostly-zero length prefixes and counts: the yz
+    // codec must actually shrink them, and the stored-bytes ledger must see
+    // the compressed size. (sum_arrays blocks are already encoded cells,
+    // which the spill stores as they are; see the test below.)
     EXPECT_GT(mb.spill_bytes_raw(), 0u) << count_mode_name(mode);
     EXPECT_LT(mb.spill_bytes_stored(), mb.spill_bytes_raw())
         << count_mode_name(mode);
@@ -276,6 +278,53 @@ TEST(MemoryPressure, UncompressedSpillAlsoExact) {
         << count_mode_name(mode);
     EXPECT_EQ(mb.spill_bytes_stored(), mb.spill_bytes_raw())
         << count_mode_name(mode);
+  }
+}
+
+/// sum_arrays spills its encoded blocks as they are: per map task, a u64
+/// length and the encoded cells of every reduce slice, then a u64 count and
+/// one u64 end offset per slice. Uncompressed, the spill stage therefore
+/// writes exactly the map stage's shuffle bytes plus that framing;
+/// compressed, never more.
+TEST(MemoryPressure, SumArraysSpillsEncodedBlocks) {
+  const auto db = random_db(16, 300, 0.35, 5);
+  for (CountMode mode : {CountMode::kCandidateId, CountMode::kVerticalBitmap}) {
+    YafimOptions opt;
+    opt.min_support = 0.2;
+    opt.count_mode = mode;
+    const auto reference = run_yafim(db, opt);
+    for (bool compress : {false, true}) {
+      SCOPED_TRACE(std::string(count_mode_name(mode)) +
+                   (compress ? " compressed" : " uncompressed"));
+      auto copts = small_cluster();
+      copts.cluster.shuffle_buffer_bytes = 1;
+      engine::Context ctx(copts);
+      ctx.set_spill_compress(compress);
+      simfs::SimFS fs(ctx.cluster());
+      const auto run = yafim_mine(ctx, fs, db, opt);
+      EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
+
+      std::map<std::string, const sim::StageRecord*> stages;
+      for (const auto& st : ctx.report().stages()) stages[st.label] = &st;
+      u32 spilled_passes = 0;
+      for (const PassStats& pass : run.passes) {
+        if (pass.k < 2) continue;
+        const std::string count = "pass" + std::to_string(pass.k) + ":count";
+        const auto spill = stages.find(count + ":spill");
+        ASSERT_NE(spill, stages.end()) << count;
+        const sim::StageRecord& map = *stages.at(count + ":map-combine");
+        const u64 slices = stages.at(count + ":reduce")->tasks.size();
+        const u64 framed = map.shuffle_bytes +
+                           map.tasks.size() * sizeof(u64) * (2 + slices);
+        if (compress) {
+          EXPECT_LE(spill->second->dfs_write_bytes, framed) << count;
+        } else {
+          EXPECT_EQ(spill->second->dfs_write_bytes, framed) << count;
+        }
+        ++spilled_passes;
+      }
+      EXPECT_GT(spilled_passes, 0u);
+    }
   }
 }
 

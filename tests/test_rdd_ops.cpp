@@ -470,7 +470,7 @@ const ShuffleOpCase kShuffleOps[] = {
                          .sum_arrays(8),
                      /*sort=*/false);
      },
-     "sumArrays:map-combine [540 540 540 540] 288\n"
+     "sumArrays:map-combine [540 540 540 540] 64\n"
      "sumArrays:reduce [4 4 4 4 4 4 4 4] 0\n"},
 };
 

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/rdd.h"
+#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -349,6 +353,31 @@ TEST_F(TraceTest, ResetClearsEventsAndCounters) {
   Tracer::instance().reset();
   EXPECT_TRUE(Tracer::instance().events().empty());
   EXPECT_EQ(counter_value(CounterId::kBroadcastBytes), 0u);
+}
+
+TEST_F(TraceTest, PoolQueueWaitReportsSumAndMax) {
+  EXPECT_STREQ(counter_name(CounterId::kPoolQueueWaitUsSum),
+               "pool.queue_wait_us_sum");
+  EXPECT_STREQ(counter_name(CounterId::kPoolQueueWaitUsMax),
+               "pool.queue_wait_us_max");
+  // One worker held busy for 20 ms: the three tasks queued behind it each
+  // wait at least that long, so the sum is about three times the max.
+  {
+    engine::ThreadPool pool(1);
+    std::vector<std::future<void>> done;
+    done.push_back(pool.submit(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); }));
+    for (int i = 0; i < 3; ++i) done.push_back(pool.submit([] {}));
+    for (auto& f : done) f.get();
+  }
+  const u64 sum = counter_value(CounterId::kPoolQueueWaitUsSum);
+  const u64 max = counter_value(CounterId::kPoolQueueWaitUsMax);
+  EXPECT_GE(max, 15000u);
+  EXPECT_GE(sum, 3 * 15000u);
+  EXPECT_LE(max, sum);
+  EXPECT_LT(max, sum);
+  Tracer::instance().reset();
+  EXPECT_EQ(counter_value(CounterId::kPoolQueueWaitUsMax), 0u);
 }
 
 TEST_F(TraceTest, NamedCounterRegistryRoundTrips) {
