@@ -15,6 +15,7 @@
 // --trace FILE records wall-clock spans (stages, tasks, YAFIM passes) and
 // counters, writes them as Chrome trace-event JSON (open in chrome://tracing
 // or https://ui.perfetto.dev), and prints the per-stage summary table.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -26,9 +27,9 @@
 #include <thread>
 
 #include "datagen/benchmarks.h"
+#include "detsan_fixtures.h"
 #include "engine/context.h"
 #include "engine/detsan.h"
-#include "engine/detsan_selftest.h"
 #include "engine/lint.h"
 #include "fim/apriori_seq.h"
 #include "fim/checkpoint.h"
@@ -84,7 +85,7 @@ struct Options {
   bool detsan = false;
   /// With --detsan=error, the first divergence aborts the run (exit 4).
   bool detsan_error = false;
-  /// Run the committed impure-plan fixtures (engine/detsan_selftest.h)
+  /// Run the committed impure-plan fixtures (examples/detsan_fixtures.h)
   /// instead of mining, at sample rate 1.0. The sanitizer must flag both;
   /// the CI detsan lane uses this as its negative control.
   bool detsan_selftest = false;
@@ -203,6 +204,22 @@ bool in_range(double x, double lo, double hi) { return lo < x && x <= hi; }
 /// Upper bound of the open-ended flags: rejects inf along with NaN.
 constexpr double kMaxFlag = std::numeric_limits<double>::max();
 
+/// The value of an unsigned flag: a whole decimal in [0, max] -- digits
+/// only, so "abc", "5x" and "-1" (which strtoull reads as 0, 5 and
+/// 2^64-1) are flag errors, as is anything above `max`.
+u64 unsigned_flag(const char* argv0, const std::string& flag,
+                  const char* text,
+                  u64 max = std::numeric_limits<u64>::max()) {
+  const char* end = text + std::strlen(text);
+  u64 v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v > max) {
+    usage(argv0, flag + " takes a whole number in [0, " +
+                     std::to_string(max) + "]");
+  }
+  return v;
+}
+
 bool known_engine(const std::string& engine) {
   return engine == "yafim" || engine == "mrapriori" || engine == "apriori" ||
          engine == "fpgrowth" || engine == "eclat";
@@ -233,8 +250,11 @@ Options parse(int argc, char** argv) {
       opt.minsup = std::atof(value("--minsup="));
     } else if (arg.rfind("--rules=", 0) == 0) {
       opt.rules_confidence = std::atof(value("--rules="));
+      if (!in_range(opt.rules_confidence, 0.0, 1.0)) {
+        usage(argv[0], "--rules must be in (0, 1]");
+      }
     } else if (arg.rfind("--top=", 0) == 0) {
-      opt.top = std::strtoull(value("--top="), nullptr, 10);
+      opt.top = unsigned_flag(argv[0], "--top", value("--top="));
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--lenient") {
@@ -249,10 +269,14 @@ Options parse(int argc, char** argv) {
       opt.checkpoint_dir = value("--checkpoint-dir=");
     } else if (arg.rfind("--stop-after-pass=", 0) == 0) {
       opt.stop_after_pass = static_cast<u32>(
-          std::strtoul(value("--stop-after-pass="), nullptr, 10));
+          unsigned_flag(argv[0], "--stop-after-pass",
+                        value("--stop-after-pass="),
+                        std::numeric_limits<u32>::max()));
     } else if (arg.rfind("--pass-sleep-ms=", 0) == 0) {
-      opt.pass_sleep_ms =
-          std::strtoull(value("--pass-sleep-ms="), nullptr, 10);
+      // At most what std::chrono::milliseconds can hold.
+      opt.pass_sleep_ms = unsigned_flag(
+          argv[0], "--pass-sleep-ms", value("--pass-sleep-ms="),
+          static_cast<u64>(std::chrono::milliseconds::max().count()));
     } else if (arg == "--lint") {
       opt.lint = true;
     } else if (arg == "--lint=error") {
@@ -277,25 +301,30 @@ Options parse(int argc, char** argv) {
     } else if (arg.rfind("--memory-gb=", 0) == 0) {
       opt.memory_gb = std::atof(value("--memory-gb="));
     } else if (arg.rfind("--shuffle-buffer-mb=", 0) == 0) {
+      // At most what `<< 20` can turn into bytes without overflowing.
       opt.shuffle_buffer_mb =
-          std::strtoull(value("--shuffle-buffer-mb="), nullptr, 10);
+          unsigned_flag(argv[0], "--shuffle-buffer-mb",
+                        value("--shuffle-buffer-mb="),
+                        std::numeric_limits<u64>::max() >> 20);
     } else if (arg == "--stream") {
       opt.stream = true;
     } else if (arg.rfind("--stream-batches=", 0) == 0) {
-      opt.stream_batches =
-          std::strtoull(value("--stream-batches="), nullptr, 10);
+      opt.stream_batches = unsigned_flag(argv[0], "--stream-batches",
+                                         value("--stream-batches="));
     } else if (arg.rfind("--stream-window-s=", 0) == 0) {
       opt.stream_window_s = std::atof(value("--stream-window-s="));
     } else if (arg.rfind("--stream-rate=", 0) == 0) {
       opt.stream_rate = std::atof(value("--stream-rate="));
     } else if (arg.rfind("--stream-seed=", 0) == 0) {
-      opt.stream_seed = std::strtoull(value("--stream-seed="), nullptr, 10);
+      opt.stream_seed =
+          unsigned_flag(argv[0], "--stream-seed", value("--stream-seed="));
     } else if (arg == "--approx") {
       opt.approx = true;
     } else if (arg.rfind("--sample-fraction=", 0) == 0) {
       opt.sample_fraction = std::atof(value("--sample-fraction="));
     } else if (arg.rfind("--samples=", 0) == 0) {
-      opt.approx_samples = std::strtoull(value("--samples="), nullptr, 10);
+      opt.approx_samples =
+          unsigned_flag(argv[0], "--samples", value("--samples="));
     } else if (arg.rfind("--relax=", 0) == 0) {
       opt.relax = std::atof(value("--relax="));
     } else if (arg.rfind("--spill-compress=", 0) == 0) {
@@ -523,9 +552,9 @@ int main(int argc, char** argv) {
       // sanitizer must observe divergences. Exit 4 under --detsan=error
       // (the first divergence throws), 0 when observing them, 1 if the
       // fixtures somehow ran clean (the sanitizer itself is broken).
-      engine::detsan_selftest::SelftestResult self;
+      detsan_fixtures::SelftestResult self;
       try {
-        self = engine::detsan_selftest::run(ctx);
+        self = detsan_fixtures::run(ctx);
       } catch (const engine::DetSanError& e) {
         std::printf("# detsan: %s\n", e.what());
         print_detsan();

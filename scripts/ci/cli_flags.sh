@@ -36,6 +36,18 @@ bad_flags=(
   "--stream --stream-rate=nan"
   "--approx --sample-fraction=nan"
   "--approx --relax=nan"
+  "--rules=2"
+  "--rules=nan"
+  "--rules=-1"
+  # unsigned flags take a whole decimal, nothing else
+  "--top=abc"
+  "--top=5x"
+  "--stream --stream-batches=-1"
+  "--stream --stream-seed=7x"
+  "--checkpoint-dir=ckpt --pass-sleep-ms=-1"
+  "--checkpoint-dir=ckpt --stop-after-pass=4294967296"
+  "--shuffle-buffer-mb=17592186044416"
+  "--approx --samples=+4"
 )
 for flags in "${bad_flags[@]}"; do
   rc=0

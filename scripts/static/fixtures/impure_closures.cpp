@@ -3,7 +3,7 @@
 // this file exists only to be scanned, so the detector's three impurity
 // classes (ref-capture, rng, fp-reduce) each stay detectable as the
 // matchers evolve. The runtime siblings live in
-// src/engine/detsan_selftest.cpp (rule YL007).
+// examples/detsan_fixtures.cpp (rule YL007).
 #include <cstdlib>
 #include <ctime>
 #include <random>

@@ -34,8 +34,7 @@ template <typename T>
 class Broadcast;
 
 /// Cap on map-side-combine hash reservations (detail::combine_values in
-/// engine/rdd.h, shared by reduce_by_key, aggregate_by_key and the
-/// MapReduce combiner). Reserving one slot per *input pair* is right when
+/// engine/rdd.h, shared by reduce_by_key and the MapReduce combiner). Reserving one slot per *input pair* is right when
 /// keys are mostly distinct, but in counting workloads (pass-2 Apriori:
 /// millions of hits, tens of thousands of distinct candidates) it allocates
 /// a hash table proportional to the hit count per task; distinct keys
@@ -212,12 +211,6 @@ class Context {
   /// Wrap pre-partitioned data (used by shuffles).
   template <typename T>
   RDD<T> from_partitions(std::vector<std::vector<T>> parts);
-
-  /// Load a text file from the simulated DFS as an RDD of lines (Spark's
-  /// textFile). Charges the DFS read plus the per-record input-format
-  /// parse cost; definition in engine/rdd.h.
-  RDD<std::string> text_file(simfs::SimFS& fs, const std::string& path,
-                             u32 min_partitions = 0);
 
   /// Broadcast a value to all workers; definitions in engine/broadcast.h.
   /// `name` identifies the payload in lint diagnostics (YL002).

@@ -18,8 +18,8 @@
 //   map / flat_map / filter     permuted input, multiset-equal output
 //   reduce (partition fold)     permuted fold order, equal result
 //   map-side combine            permuted combine order, multiset-equal map
-//     (one hook, detail::combine_values: reduce_by_key, aggregate_by_key,
-//     distinct, count_by_value and the MapReduce combiner)
+//     (one hook, detail::combine_values: reduce_by_key and the
+//     MapReduce combiner)
 //   sum_arrays                  permuted accumulation order, equal arrays
 //   map_partitions              same-order re-run, identical output
 //                               (partition functions may legitimately

@@ -13,8 +13,6 @@ namespace yafim::engine {
 enum class EngineErrorKind {
   /// reduce() called on an RDD with no elements (mirrors Spark's throw).
   kEmptyReduce,
-  /// first() called on an RDD with no elements (mirrors Spark's throw).
-  kEmptyFirst,
   /// collect_as_map() saw the same key in two pairs.
   kDuplicateKey,
   /// sum_arrays() fed arrays of differing widths.

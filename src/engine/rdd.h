@@ -1,21 +1,22 @@
 // RDD<T>: a typed, lazy, partitioned, immutable dataset -- the minispark
 // analogue of Spark's resilient distributed dataset.
 //
-// * Narrow transformations (map/flatMap/filter/mapPartitions/union/sample)
-//   build lineage nodes and are fused at execution: one task computes the
-//   whole operator chain for one partition, exactly like a Spark stage.
-// * Wide operations (reduce_by_key, group_by_key, join, sort_by_key,
-//   sum_arrays, ...) are stage boundaries. All of them run one shuffle
-//   core (detail::ShuffleMap): a map stage that combines or routes each
-//   partition into reduce buckets (accounting shuffle bytes), the memory
-//   ledger and spill step, then the operator's reduce stage into a new
-//   materialized RDD.
+// * Narrow transformations (map/flatMap/filter/mapPartitions and the
+//   multi-sample/zip-with-index taggers) build lineage nodes and are fused
+//   at execution: one task computes the whole operator chain for one
+//   partition, exactly like a Spark stage.
+// * Wide operations (reduce_by_key, group_by_key, sum_arrays) are stage
+//   boundaries. All of them run one shuffle core (detail::ShuffleMap): a
+//   map stage that combines or routes each partition into reduce buckets
+//   (accounting shuffle bytes), the memory ledger and spill step, then the
+//   operator's reduce stage into a new materialized RDD.
 // * persist() caches computed partitions in (simulated) executor memory;
 //   a partition lost to fault injection -- or LRU-evicted under a finite
 //   executor memory budget -- is transparently recomputed from lineage
 //   (engine/fault.h).
-// * Actions (collect/count/reduce) run on the driver thread and record one
-//   StageRecord per stage with deterministic per-task work counters.
+// * Actions (collect/count/reduce/collect_as_map) run on the driver thread
+//   and record one StageRecord per stage with deterministic per-task work
+//   counters.
 #pragma once
 
 #include <algorithm>
@@ -493,63 +494,6 @@ class MapPartitionsNode final : public Node<U> {
   F f_;
 };
 
-template <typename T>
-class UnionNode final : public Node<T> {
- public:
-  UnionNode(std::shared_ptr<Node<T>> left, std::shared_ptr<Node<T>> right)
-      : Node<T>(left->ctx(),
-                left->num_partitions() + right->num_partitions()),
-        left_(std::move(left)),
-        right_(std::move(right)) {
-    YAFIM_CHECK(&left_->ctx() == &right_->ctx(),
-                "union of RDDs from different contexts");
-    this->lint_register(PlanOp::kUnion, {left_->id(), right_->id()});
-  }
-
-  std::vector<T> compute(u32 pid) override {
-    if (pid < left_->num_partitions()) return *left_->get(pid);
-    return *right_->get(pid - left_->num_partitions());
-  }
-
-  typename Node<T>::Part get(u32 pid) override {
-    if (this->persisted()) return Node<T>::get(pid);
-    if (pid < left_->num_partitions()) return left_->get(pid);
-    return right_->get(pid - left_->num_partitions());
-  }
-
- private:
-  std::shared_ptr<Node<T>> left_;
-  std::shared_ptr<Node<T>> right_;
-};
-
-template <typename T>
-class SampleNode final : public Node<T> {
- public:
-  SampleNode(std::shared_ptr<Node<T>> parent, double fraction, u64 seed)
-      : Node<T>(parent->ctx(), parent->num_partitions()),
-        parent_(std::move(parent)),
-        fraction_(fraction),
-        seed_(seed) {
-    this->lint_register(PlanOp::kSample, {parent_->id()});
-  }
-
-  std::vector<T> compute(u32 pid) override {
-    auto in = parent_->get(pid);
-    Rng rng = Rng(seed_).split(pid);
-    std::vector<T> out;
-    for (const T& x : *in) {
-      work::add(1);
-      if (rng.bernoulli(fraction_)) out.push_back(x);
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  double fraction_;
-  u64 seed_;
-};
-
 /// One-pass multi-sampling: tags each element with the ids of the samples
 /// that keep it, so `n` Bernoulli(fraction) samples (or `n` disjoint
 /// splits) are drawn in a single scan of the parent. Each (partition,
@@ -606,33 +550,6 @@ class MultiSampleNode final : public Node<std::pair<u32, T>> {
   double fraction_;
   u64 seed_;
   bool disjoint_;
-};
-
-template <typename T>
-class CoalesceNode final : public Node<T> {
- public:
-  CoalesceNode(std::shared_ptr<Node<T>> parent, u32 num_partitions)
-      : Node<T>(parent->ctx(), num_partitions), parent_(std::move(parent)) {
-    this->lint_register(PlanOp::kCoalesce, {parent_->id()});
-  }
-
-  std::vector<T> compute(u32 pid) override {
-    // New partition pid owns the contiguous parent range [begin, end).
-    const u32 parents = parent_->num_partitions();
-    const u32 mine = this->num_partitions();
-    const u32 begin = static_cast<u32>(u64{pid} * parents / mine);
-    const u32 end = static_cast<u32>(u64{pid + 1} * parents / mine);
-    std::vector<T> out;
-    for (u32 p = begin; p < end; ++p) {
-      auto part = parent_->get(p);
-      work::add(part->size());
-      out.insert(out.end(), part->begin(), part->end());
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
 };
 
 template <typename T>
@@ -884,28 +801,28 @@ class ShuffleSpill {
 template <typename P>
 using Buckets = std::vector<std::vector<P>>;
 
-/// Map-side combine, the map half of Spark's combineByKey: folds one
-/// task's (key, value) `pairs` into a key -> combiner map, `create(v)`
-/// starting a combiner and `merge(c, v)` folding a value into one (C must
-/// be default-constructible). One work unit per pair. With `replay` set (a
-/// DetSan-sampled task) the map is also rebuilt over the pair order
-/// permuted by `seed` and checked with detsan_check_kv. The replay runs
-/// first, so the
-/// primary may move keys out of mutable `pairs` (a MapReduce emitter); a
-/// const input partition is copied from.
-template <typename C, typename Hash, typename Pairs, typename Create,
-          typename Merge, typename Report>
-auto combine_values(Pairs& pairs, Create& create, Merge& merge, DetSan& ds,
-                    bool replay, u64 seed, const Report& report) {
+/// Map-side combine, the map half of Spark's reduceByKey: folds one task's
+/// (key, value) `pairs` into a key -> value map, the first value of a key
+/// starting its entry and `merge(acc, v)` folding each later one in. One
+/// work unit per pair. With `replay` set (a DetSan-sampled task) the map is
+/// also rebuilt over the pair order permuted by `seed` and checked with
+/// detsan_check_kv. The replay runs first, so the primary may move keys out
+/// of mutable `pairs` (a MapReduce emitter); a const input partition is
+/// copied from.
+template <typename Hash, typename Pairs, typename Merge, typename Report>
+auto combine_values(Pairs& pairs, Merge& merge, DetSan& ds, bool replay,
+                    u64 seed, const Report& report) {
   using K = std::remove_cvref_t<decltype(pairs.begin()->first)>;
-  using Map = std::unordered_map<K, C, Hash>;
-  auto fold = [&](Map& acc, auto&& k, const auto& v) {
+  using V = std::remove_cvref_t<decltype(pairs.begin()->second)>;
+  using Map = std::unordered_map<K, V, Hash>;
+  auto fold = [&](Map& acc, auto&& k, const V& v) {
     work::add(1);
-    auto [it, inserted] = acc.try_emplace(std::forward<decltype(k)>(k));
-    it->second = inserted ? C(create(v)) : C(merge(std::move(it->second), v));
+    // try_emplace leaves `k` alone when the key is already present.
+    auto [it, inserted] = acc.try_emplace(std::forward<decltype(k)>(k), v);
+    if (!inserted) it->second = merge(std::move(it->second), v);
   };
   constexpr bool kCheckable =
-      util::is_canon_hashable_v<K> && util::is_canon_hashable_v<C>;
+      util::is_canon_hashable_v<K> && util::is_canon_hashable_v<V>;
   Map replayed;
   if (kCheckable && replay) {
     replayed.reserve(std::min(pairs.size(), kCombineReserveCap));
@@ -942,16 +859,6 @@ u64 route(Entries& entries, u32 reduce_tasks, const Part& part,
     }
   }
   return bytes;
-}
-
-/// Map task of a shuffle without map-side combine (group_by_key, join,
-/// sort_by_key): one work unit per element, copied to bucket part(key).
-template <typename Part>
-auto route_task(u32 reduce_tasks, Part part) {
-  return [reduce_tasks, part](const auto& in, u32, auto& buckets) {
-    work::add(in.size());
-    return route(in, reduce_tasks, part, buckets);
-  };
 }
 
 /// Reduce side of a grouping shuffle: the values bucket `r` received from
@@ -1164,17 +1071,6 @@ class RDD {
         node_, std::move(f)));
   }
 
-  RDD<T> union_with(const RDD<T>& other) const {
-    return RDD<T>(
-        std::make_shared<detail::UnionNode<T>>(node_, other.node_));
-  }
-
-  /// Bernoulli sample without replacement; deterministic in `seed`.
-  RDD<T> sample(double fraction, u64 seed) const {
-    return RDD<T>(
-        std::make_shared<detail::SampleNode<T>>(node_, fraction, seed));
-  }
-
   /// Draw `n` independent Bernoulli(fraction) samples in one pass over the
   /// data: emits (sample_id, element) for every sample that keeps the
   /// element. Deterministic in (seed, partition); each sample's membership
@@ -1190,16 +1086,6 @@ class RDD {
   RDD<std::pair<u32, T>> disjoint_splits(u32 n) const {
     return RDD<std::pair<u32, T>>(std::make_shared<detail::MultiSampleNode<T>>(
         node_, n, /*fraction=*/1.0, /*seed=*/0, /*disjoint=*/true));
-  }
-
-  // --- pair-RDD operations --------------------------------------------
-
-  /// Reduce partition count without a shuffle (Spark's coalesce): each new
-  /// partition concatenates a contiguous range of parent partitions.
-  RDD<T> coalesce(u32 num_partitions) const {
-    YAFIM_CHECK(num_partitions > 0, "coalesce() needs >= 1 partition");
-    return RDD<T>(std::make_shared<detail::CoalesceNode<T>>(
-        node_, std::min(num_partitions, node_->num_partitions())));
   }
 
   /// Pair every element with its global index in partition order (Spark's
@@ -1218,35 +1104,51 @@ class RDD {
                                                       std::move(offsets)));
   }
 
-  // --- pair-RDD operations (continued) ---------------------------------
+  // --- pair-RDD operations --------------------------------------------
 
-  /// Generalised keyed aggregation (Spark's aggregateByKey): values fold
-  /// into an accumulator A via `seq` map-side, accumulators merge via
-  /// `comb` across the shuffle.
-  template <typename A, typename Seq, typename Comb,
-            typename Hash = std::hash<typename detail::PairTraits<T>::key_type>>
-    requires detail::PairTraits<T>::is_pair
-  auto aggregate_by_key(A zero, Seq seq, Comb comb, u32 out_partitions = 0,
-                        Hash hash = Hash{},
-                        const std::string& label = "aggregateByKey") const {
-    using V = typename detail::PairTraits<T>::mapped_type;
-    auto create = [&](const V& v) { return seq(A(zero), v); };
-    return combine_by_key<A>(create, seq, comb, out_partitions, hash, label,
-                             "aggregate_by_key");
-  }
-
-  /// Shuffle + aggregate values per key, with map-side combining (Spark's
-  /// reduceByKey). Only available when T is std::pair<K, V>. `Hash` must
-  /// hash K deterministically.
+  /// Shuffle + aggregate values per key (Spark's reduceByKey). Only
+  /// available when T is std::pair<K, V>. `Hash` must hash K
+  /// deterministically. Map tasks fold their values per key with `combine`
+  /// (DetSan replays this fold) and hash-route the partial values; reduce
+  /// tasks merge each key's partials with the same fn, so a
+  /// non-commutative one cannot slip past the map-side replay.
   template <typename F,
             typename Hash = std::hash<typename detail::PairTraits<T>::key_type>>
     requires detail::PairTraits<T>::is_pair
   RDD<T> reduce_by_key(F combine, u32 out_partitions = 0, Hash hash = Hash{},
                        const std::string& label = "reduceByKey") const {
+    using K = typename detail::PairTraits<T>::key_type;
     using V = typename detail::PairTraits<T>::mapped_type;
-    auto create = [](const V& v) { return v; };
-    return combine_by_key<V>(create, combine, combine, out_partitions, hash,
-                             label, "reduce_by_key");
+
+    Context& ctx = node_->ctx();
+    DetSan& ds = ctx.detsan();
+    const u32 id = node_->id();
+    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
+    const auto part = hash_partitioner(hash, reduce_tasks);
+    detail::ShuffleMap<detail::Buckets<T>> shuffle(
+        *node_, label, label + ":map-combine",
+        [&](const std::vector<T>& in, u32 pid, detail::Buckets<T>& buckets) {
+          auto acc = detail::combine_values<Hash>(
+              in, combine, ds, ds.should_replay(id, pid),
+              ds.replay_seed(id, pid), [&](const std::string& element) {
+                ds.report_divergence(id, "reduce_by_key", element);
+              });
+          return detail::route(acc, reduce_tasks, part, buckets);
+        });
+
+    std::vector<std::vector<T>> out(reduce_tasks);
+    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
+      std::unordered_map<K, V, Hash> acc;
+      for (auto& buckets : shuffle.blocks()) {
+        for (auto& [k, v] : buckets[r]) {
+          work::add(1);
+          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(v));
+          if (!inserted) it->second = combine(std::move(it->second), v);
+        }
+      }
+      out[r] = detail::drain(acc);
+    });
+    return ctx.from_partitions(std::move(out));
   }
 
   /// Shuffle + gather all values per key (Spark's groupByKey). No map-side
@@ -1261,146 +1163,20 @@ class RDD {
 
     Context& ctx = node_->ctx();
     const u32 reduce_tasks = reduce_tasks_for(out_partitions);
+    const auto part = hash_partitioner(hash, reduce_tasks);
+    // No map-side combine: one work unit per element, copied to its bucket.
     detail::ShuffleMap<detail::Buckets<T>> shuffle(
         *node_, label, label + ":map",
-        detail::route_task(reduce_tasks, hash_partitioner(hash, reduce_tasks)));
+        [&](const std::vector<T>& in, u32, detail::Buckets<T>& buckets) {
+          work::add(in.size());
+          return detail::route(in, reduce_tasks, part, buckets);
+        });
     std::vector<std::vector<std::pair<K, std::vector<V>>>> out(reduce_tasks);
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
       auto groups = detail::gather<Hash>(shuffle.blocks(), r);
       out[r] = detail::drain(groups);
     });
     return ctx.from_partitions(std::move(out));
-  }
-
-  /// Inner join with another pair RDD on the key (Spark's join).
-  template <typename W,
-            typename Hash = std::hash<typename detail::PairTraits<T>::key_type>>
-    requires detail::PairTraits<T>::is_pair
-  auto join(const RDD<std::pair<typename detail::PairTraits<T>::key_type, W>>&
-                other,
-            u32 out_partitions = 0, Hash hash = Hash{},
-            const std::string& label = "join") const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using V = typename detail::PairTraits<T>::mapped_type;
-    using Out = std::pair<K, std::pair<V, W>>;
-
-    Context& ctx = node_->ctx();
-    YAFIM_CHECK(&ctx == &other.ctx(), "join across contexts");
-    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
-    const auto part = hash_partitioner(hash, reduce_tasks);
-    detail::ShuffleMap<detail::Buckets<T>> left(
-        *node_, label + ":left", label + ":left",
-        detail::route_task(reduce_tasks, part));
-    detail::ShuffleMap<detail::Buckets<std::pair<K, W>>> right(
-        *other.node(), label + ":right", label + ":right",
-        detail::route_task(reduce_tasks, part));
-
-    std::vector<std::vector<Out>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      auto left_by_key = detail::gather<Hash>(left.blocks(), r);
-      for (auto& buckets : right.blocks()) {
-        for (auto& [k, w] : buckets[r]) {
-          work::add(1);
-          auto it = left_by_key.find(k);
-          if (it == left_by_key.end()) continue;
-          for (const V& v : it->second) {
-            out[r].emplace_back(k, std::make_pair(v, w));
-          }
-        }
-      }
-    });
-    return ctx.from_partitions(std::move(out));
-  }
-
-  /// Globally sort a pair RDD by key (Spark's sortByKey): sample keys on
-  /// the driver, range-partition, sort within partitions. The resulting
-  /// RDD's partitions are in ascending key ranges and each is sorted, so
-  /// collect() returns a fully key-sorted sequence.
-  template <typename Dummy = void>
-    requires detail::PairTraits<T>::is_pair
-  RDD<T> sort_by_key(u32 out_partitions = 0,
-                     const std::string& label = "sortByKey") const {
-    using K = typename detail::PairTraits<T>::key_type;
-
-    Context& ctx = node_->ctx();
-    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
-
-    // Driver-side splitter sampling (deterministic: every ~16th key).
-    // sort_by_key truthfully consumes its input twice: once for the sample
-    // stage and once for the range-partition shuffle.
-    lint_consume(PlanLinter::Consume::kAction, label + ":sample");
-    std::vector<std::vector<K>> samples(node_->num_partitions());
-    ctx.run_stage(label + ":sample", node_->num_partitions(), [&](u32 pid) {
-      auto in = node_->get(pid);
-      for (size_t i = 0; i < in->size(); i += 16) {
-        work::add(1);
-        samples[pid].push_back((*in)[i].first);
-      }
-    });
-    std::vector<K> sample;
-    for (auto& local : samples) {
-      sample.insert(sample.end(), local.begin(), local.end());
-    }
-    std::sort(sample.begin(), sample.end());
-    std::vector<K> splitters;  // reduce_tasks - 1 boundaries
-    for (u32 s = 1; s < reduce_tasks; ++s) {
-      if (sample.empty()) break;
-      splitters.push_back(sample[sample.size() * s / reduce_tasks]);
-    }
-
-    auto range_of = [&](const K& k) -> u32 {
-      return static_cast<u32>(
-          std::upper_bound(splitters.begin(), splitters.end(), k) -
-          splitters.begin());
-    };
-    detail::ShuffleMap<detail::Buckets<T>> shuffle(
-        *node_, label + ":partition", label + ":partition",
-        detail::route_task(reduce_tasks, range_of));
-
-    std::vector<std::vector<T>> out(reduce_tasks);
-    ctx.run_stage(label + ":sort", reduce_tasks, [&](u32 r) {
-      auto& mine = out[r];
-      for (auto& buckets : shuffle.blocks()) {
-        work::add(buckets[r].size());
-        mine.insert(mine.end(), std::make_move_iterator(buckets[r].begin()),
-                    std::make_move_iterator(buckets[r].end()));
-      }
-      std::stable_sort(mine.begin(), mine.end(),
-                       [](const T& a, const T& b) {
-                         return a.first < b.first;
-                       });
-    });
-    return ctx.from_partitions(std::move(out));
-  }
-
-  /// Deduplicate elements (Spark's distinct). `Hash` must hash T.
-  template <typename Hash = std::hash<T>>
-  RDD<T> distinct(u32 out_partitions = 0, Hash hash = Hash{},
-                  const std::string& label = "distinct") const {
-    auto paired = map([](const T& x) { return std::pair<T, u8>(x, 1); });
-    auto deduped = paired.reduce_by_key([](u8 a, u8) { return a; },
-                                        out_partitions, hash, label);
-    return deduped.map([](const std::pair<T, u8>& kv) { return kv.first; });
-  }
-
-  /// Transform only the values of a pair RDD.
-  template <typename F>
-    requires detail::PairTraits<T>::is_pair
-  auto map_values(F f) const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using V = typename detail::PairTraits<T>::mapped_type;
-    using W = std::decay_t<std::invoke_result_t<F, const V&>>;
-    return map([f = std::move(f)](const std::pair<K, V>& kv) {
-      return std::pair<K, W>(kv.first, f(kv.second));
-    });
-  }
-
-  template <typename H = std::hash<typename detail::PairTraits<T>::key_type>>
-    requires detail::PairTraits<T>::is_pair
-  auto keys() const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using V = typename detail::PairTraits<T>::mapped_type;
-    return map([](const std::pair<K, V>& kv) { return kv.first; });
   }
 
   // --- actions (eager) -------------------------------------------------
@@ -1465,54 +1241,6 @@ class RDD {
                         "reduce() on an empty RDD");
     }
     return *result;
-  }
-
-  /// First n elements in partition order (Spark's take): computes
-  /// partitions one by one on the driver until enough elements are seen,
-  /// so early partitions short-circuit the rest of the lineage.
-  std::vector<T> take(size_t n, const std::string& label = "take") const {
-    Context& ctx = node_->ctx();
-    lint_consume(PlanLinter::Consume::kAction, label);
-    std::vector<T> out;
-    std::vector<sim::TaskRecord> tasks;
-    for (u32 pid = 0; pid < node_->num_partitions() && out.size() < n;
-         ++pid) {
-      work::Scope scope;
-      auto part = node_->get(pid);
-      tasks.push_back(sim::TaskRecord{scope.measured()});
-      for (const T& x : *part) {
-        if (out.size() == n) break;
-        out.push_back(x);
-      }
-    }
-    sim::StageRecord record;
-    record.label = label;
-    record.kind = sim::StageKind::kSparkStage;
-    record.pass = ctx.pass();
-    record.tasks = std::move(tasks);
-    ctx.record(std::move(record));
-    return out;
-  }
-
-  /// First element; throws EngineError on an empty RDD (mirrors Spark).
-  T first() const {
-    auto one = take(1, "first");
-    if (one.empty()) {
-      throw EngineError(EngineErrorKind::kEmptyFirst,
-                        "first() on an empty RDD");
-    }
-    return std::move(one[0]);
-  }
-
-  /// Histogram of element multiplicities (Spark's countByValue).
-  template <typename Hash = std::hash<T>>
-  auto count_by_value(Hash hash = Hash{},
-                      const std::string& label = "countByValue") const {
-    auto counted =
-        map([](const T& x) { return std::pair<T, u64>(x, 1); })
-            .reduce_by_key([](u64 a, u64 b) { return a + b; }, 0, hash,
-                           label);
-    return counted.template collect_as_map<Hash>(label + ":collect");
   }
 
   /// Collect a pair RDD into a hash map (keys must be unique, e.g. after
@@ -1636,87 +1364,10 @@ class RDD {
     };
   }
 
-  /// Spark's combineByKey, under reduce_by_key and aggregate_by_key: map
-  /// tasks fold their values into per-key combiners (`create`,
-  /// `merge_value`; DetSan replays this fold as `op`) and hash-route them;
-  /// reduce tasks merge each key's combiners (`merge_combiners`). The
-  /// replay checks the combine fn at the map side; reduce_by_key's reduce
-  /// side applies the same fn, so a non-commutative one cannot slip through.
-  template <typename C, typename Create, typename MergeValue,
-            typename MergeCombiners, typename Hash>
-  auto combine_by_key(Create& create, MergeValue& merge_value,
-                      MergeCombiners& merge_combiners, u32 out_partitions,
-                      Hash hash, const std::string& label,
-                      const char* op) const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using KC = std::pair<K, C>;
-
-    Context& ctx = node_->ctx();
-    DetSan& ds = ctx.detsan();
-    const u32 id = node_->id();
-    const u32 reduce_tasks = reduce_tasks_for(out_partitions);
-    const auto part = hash_partitioner(hash, reduce_tasks);
-    detail::ShuffleMap<detail::Buckets<KC>> shuffle(
-        *node_, label, label + ":map-combine",
-        [&](const std::vector<T>& in, u32 pid, detail::Buckets<KC>& buckets) {
-          auto acc = detail::combine_values<C, Hash>(
-              in, create, merge_value, ds, ds.should_replay(id, pid),
-              ds.replay_seed(id, pid), [&](const std::string& element) {
-                ds.report_divergence(id, op, element);
-              });
-          return detail::route(acc, reduce_tasks, part, buckets);
-        });
-
-    std::vector<std::vector<KC>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, C, Hash> acc;
-      for (auto& buckets : shuffle.blocks()) {
-        for (auto& [k, c] : buckets[r]) {
-          work::add(1);
-          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(c));
-          if (!inserted) it->second = merge_combiners(std::move(it->second), c);
-        }
-      }
-      out[r] = detail::drain(acc);
-    });
-    return ctx.from_partitions(std::move(out));
-  }
-
   std::shared_ptr<detail::Node<T>> node_;
 };
 
 // --- Context factory definitions (declared in engine/context.h) ---------
-
-inline RDD<std::string> Context::text_file(simfs::SimFS& fs,
-                                           const std::string& path,
-                                           u32 min_partitions) {
-  const std::vector<u8> raw = fs.read(path);
-  std::vector<std::string> lines;
-  size_t start = 0;
-  for (size_t i = 0; i <= raw.size(); ++i) {
-    if (i == raw.size() || raw[i] == '\n') {
-      if (i > start) {
-        lines.emplace_back(reinterpret_cast<const char*>(raw.data() + start),
-                           i - start);
-      }
-      start = i + 1;
-    }
-  }
-
-  const u32 nparts = min_partitions ? min_partitions : default_partitions();
-  sim::StageRecord load;
-  load.label = "textFile:" + path;
-  load.kind = sim::StageKind::kSparkStage;
-  load.pass = pass();
-  load.dfs_read_bytes = raw.size();
-  const u32 tasks = static_cast<u32>(std::max<size_t>(
-      1, std::min<size_t>(nparts, std::max<size_t>(1, lines.size()))));
-  load.tasks = sim::split_work(
-      lines.size() * (1 + cluster().record_parse_work), tasks);
-  record(std::move(load));
-
-  return parallelize(std::move(lines), nparts);
-}
 
 template <typename T>
 RDD<T> Context::from_partitions(std::vector<std::vector<T>> parts) {

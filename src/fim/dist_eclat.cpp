@@ -53,20 +53,9 @@ DistEclatRun dist_eclat_mine(engine::Context& ctx, simfs::SimFS& fs,
                             ? 1
                             : db.min_support_count(options.min_support);
   run.itemsets = FrequentItemsets(min_count, num_transactions);
-  {
-    const u32 tasks =
-        options.partitions ? options.partitions : ctx.default_partitions();
-    sim::StageRecord load;
-    load.label = "disteclat:load+parse";
-    load.kind = sim::StageKind::kSparkStage;
-    load.pass = 0;
-    load.dfs_read_bytes = raw.size();
-    load.tasks.assign(
-        tasks, sim::TaskRecord{num_transactions *
-                               (1 + ctx.cluster().record_parse_work) /
-                               tasks});
-    ctx.record(std::move(load));
-  }
+  record_parse_stage(
+      ctx, "disteclat:load+parse", num_transactions, raw.size(),
+      options.partitions ? options.partitions : ctx.default_partitions());
   if (num_transactions == 0) return result;
 
   auto transactions =

@@ -80,4 +80,16 @@ void price_passes(const engine::Context& ctx, size_t first_stage,
   }
 }
 
+void record_parse_stage(engine::Context& ctx, const std::string& label,
+                        u64 records, u64 read_bytes, u32 tasks) {
+  sim::StageRecord stage;
+  stage.label = label;
+  stage.kind = sim::StageKind::kSparkStage;
+  stage.pass = ctx.pass();
+  stage.tasks =
+      sim::split_work(records * (1 + ctx.cluster().record_parse_work), tasks);
+  stage.dfs_read_bytes = read_bytes;
+  ctx.record(std::move(stage));
+}
+
 }  // namespace yafim::fim

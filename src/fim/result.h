@@ -5,6 +5,7 @@
 // YAFIM are exactly same as MRApriori").
 #pragma once
 
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -106,5 +107,13 @@ struct MiningRun {
 /// it prices at 0 and the batch's time lands on its first level.
 void price_passes(const engine::Context& ctx, size_t first_stage,
                   MiningRun& run);
+
+/// Record the load stage of a Spark-side miner: read `read_bytes` from the
+/// DFS and parse `records` records through the input format at
+/// cluster.record_parse_work each, split over `tasks` tasks so the stage
+/// total is exact. Tagged with ctx's current pass. Miners that recompute
+/// an uncached input lineage record the same stage again under a new label.
+void record_parse_stage(engine::Context& ctx, const std::string& label,
+                        u64 records, u64 read_bytes, u32 tasks);
 
 }  // namespace yafim::fim

@@ -103,16 +103,9 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   const u64 parse_records = db.size();
   auto parse_stage = [&ctx, &raw, parse_records,
                       load_tasks](const std::string& label) {
-    sim::StageRecord stage;
-    stage.label = label;
-    stage.kind = sim::StageKind::kSparkStage;
-    stage.pass = ctx.pass();
-    stage.tasks = sim::split_work(
-        parse_records * (1 + ctx.cluster().record_parse_work), load_tasks);
-    stage.dfs_read_bytes = raw.size();
-    return stage;
+    record_parse_stage(ctx, label, parse_records, raw.size(), load_tasks);
   };
-  ctx.record(parse_stage("load:textFile+parse"));
+  parse_stage("load:textFile+parse");
 
   const u64 num_transactions = db.size();
   const u64 min_count = min_count_ceil(options.min_support, num_transactions);
@@ -290,7 +283,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
       vertical.emplace(vertical_index(transactions, "vertical:bitmaps"));
     }
     if (!options.cache_transactions) {
-      ctx.record(parse_stage("verify:recompute lineage"));
+      parse_stage("verify:recompute lineage");
     }
     CountCoreOptions count_opt;
     count_opt.count_mode = options.count_mode;

@@ -45,16 +45,9 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   const u64 parse_records = db.size();
   auto parse_stage = [&ctx, &raw, parse_records,
                       load_tasks](const std::string& label) {
-    sim::StageRecord stage;
-    stage.label = label;
-    stage.kind = sim::StageKind::kSparkStage;
-    stage.pass = ctx.pass();
-    stage.tasks = sim::split_work(
-        parse_records * (1 + ctx.cluster().record_parse_work), load_tasks);
-    stage.dfs_read_bytes = raw.size();
-    return stage;
+    record_parse_stage(ctx, label, parse_records, raw.size(), load_tasks);
   };
-  ctx.record(parse_stage("load:textFile+parse"));
+  parse_stage("load:textFile+parse");
 
   const u64 num_transactions = db.size();
   const u64 min_count = db.min_support_count(options.min_support);
@@ -251,8 +244,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     // builds it pays the recompute.
     if (!options.cache_transactions &&
         (!bitmap_mode || builds_vertical || partitioned)) {
-      ctx.record(
-          parse_stage("pass" + std::to_string(k) + ":recompute lineage"));
+      parse_stage("pass" + std::to_string(k) + ":recompute lineage");
     }
 
     // The counting job itself lives in fim/count_core.{h,cpp}, shared with

@@ -154,7 +154,6 @@ class JobRunner {
     const auto part = [&](const K& k) {
       return static_cast<u32>(spec.hash(k) % reduce_tasks);
     };
-    const auto identity = [](const V& v) { return v; };
     std::optional<obs::Span> map_span;
     if (obs::enabled()) {
       map_span.emplace("stage", spec.name + ":map");
@@ -183,8 +182,8 @@ class JobRunner {
       if (spec.combine_fn) {
         // The RDD map-side combine, DetSan replay included; a replay of
         // fewer than two emits could not permute anything.
-        auto combined = engine::detail::combine_values<V, Hash>(
-            pairs, identity, spec.combine_fn, ds,
+        auto combined = engine::detail::combine_values<Hash>(
+            pairs, spec.combine_fn, ds,
             pairs.size() >= 2 && ds.should_replay(replay_id, m),
             ds.replay_seed(replay_id, m), [&](const std::string& element) {
               ds.report_divergence_raw(

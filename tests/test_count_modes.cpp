@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <span>
@@ -27,8 +28,11 @@
 #include "fim/candidate_gen.h"
 #include "fim/checkpoint.h"
 #include "fim/count_core.h"
+#include "fim/dist_eclat.h"
 #include "fim/fp_growth.h"
 #include "fim/mr_apriori.h"
+#include "fim/pfp.h"
+#include "fim/sampling.h"
 #include "fim/yafim.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -671,45 +675,73 @@ TEST(Pricing, SplitWorkDistributesRemainderExactly) {
   }
 }
 
-TEST(Pricing, TextFileStageTotalIsExact) {
-  engine::Context::Options copts = small_cluster();
-  engine::Context ctx(copts);
-  simfs::SimFS fs(ctx.cluster());
-  // 1009 lines (prime): guaranteed not divisible by the task count, which
-  // is what used to truncate up to tasks-1 work units off the stage.
-  std::string text;
-  for (int i = 0; i < 1009; ++i) text += "line" + std::to_string(i) + "\n";
-  fs.write("hdfs://pricing/input.txt",
-           std::vector<u8>(text.begin(), text.end()));
+/// One Spark-side miner's load stage: its label and a run of the miner
+/// over `db` at 7 partitions.
+struct ParseStageCase {
+  const char* name;
+  const char* label;
+  std::function<void(engine::Context&, simfs::SimFS&, const TransactionDB&)>
+      mine;
+};
 
-  auto lines = ctx.text_file(fs, "hdfs://pricing/input.txt");
-  ASSERT_EQ(lines.count("count"), 1009u);
-
-  const auto& stage = ctx.report().stages().front();
-  ASSERT_TRUE(stage.label.rfind("textFile:", 0) == 0);
-  u64 priced = 0;
-  for (const auto& t : stage.tasks) priced += t.work;
-  EXPECT_EQ(priced, 1009u * (1 + ctx.cluster().record_parse_work));
+template <typename Options>
+Options parse_case_options() {
+  Options opt;
+  opt.min_support = 0.3;
+  opt.partitions = 7;
+  return opt;
 }
 
-TEST(Pricing, YafimParseStageTotalIsExact) {
+const ParseStageCase kParseStages[] = {
+    {"Yafim", "load:textFile+parse",
+     [](engine::Context& ctx, simfs::SimFS& fs, const TransactionDB& db) {
+       (void)yafim_mine(ctx, fs, db, parse_case_options<YafimOptions>());
+     }},
+    {"Sampling", "load:textFile+parse",
+     [](engine::Context& ctx, simfs::SimFS& fs, const TransactionDB& db) {
+       (void)sampling_mine(ctx, fs, db, parse_case_options<SamplingOptions>());
+     }},
+    {"Pfp", "pfp:load+parse",
+     [](engine::Context& ctx, simfs::SimFS& fs, const TransactionDB& db) {
+       (void)pfp_mine(ctx, fs, db, parse_case_options<PfpOptions>());
+     }},
+    {"DistEclat", "disteclat:load+parse",
+     [](engine::Context& ctx, simfs::SimFS& fs, const TransactionDB& db) {
+       (void)dist_eclat_mine(ctx, fs, db,
+                             parse_case_options<DistEclatOptions>());
+     }},
+};
+
+void PrintTo(const ParseStageCase& c, std::ostream* os) { *os << c.name; }
+
+class ParseStage : public ::testing::TestWithParam<ParseStageCase> {};
+
+TEST_P(ParseStage, TotalIsExact) {
+  // 1009 records (prime) over 7 tasks: the stage total is not divisible by
+  // the task count, which is what used to truncate up to tasks-1 work
+  // units off the stage.
   const auto db = random_db(12, 1009, 0.3, 2);
   engine::Context ctx(small_cluster());
   simfs::SimFS fs(ctx.cluster());
-  YafimOptions opt;
-  opt.min_support = 0.3;
-  (void)yafim_mine(ctx, fs, db, opt);
+  GetParam().mine(ctx, fs, db);
 
   bool found = false;
   for (const auto& s : ctx.report().stages()) {
-    if (s.label != "load:textFile+parse") continue;
+    if (s.label != GetParam().label) continue;
     found = true;
+    EXPECT_EQ(s.tasks.size(), 7u);
     u64 priced = 0;
     for (const auto& t : s.tasks) priced += t.work;
     EXPECT_EQ(priced, 1009u * (1 + ctx.cluster().record_parse_work));
   }
   EXPECT_TRUE(found);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Pricing, ParseStage, ::testing::ValuesIn(kParseStages),
+    [](const ::testing::TestParamInfo<ParseStageCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---- dense-path stage accounting ---------------------------------------
 

@@ -14,9 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "detsan_fixtures.h"
 #include "engine/context.h"
 #include "engine/detsan.h"
-#include "engine/detsan_selftest.h"
 #include "engine/lint.h"
 #include "engine/rdd.h"
 #include "fim/mr_apriori.h"
@@ -235,7 +235,7 @@ TEST(DetSan, FailFastThrowsDetSanErrorNamingNodeAndStage) {
 
 TEST(DetSan, SelftestFixturesBothDiverge) {
   Context ctx(detsan_on(1.0));
-  const auto result = detsan_selftest::run(ctx);
+  const auto result = detsan_fixtures::run(ctx);
   EXPECT_GT(result.tasks_replayed, 0u);
   EXPECT_GT(result.divergences, 0u);
   bool saw_fold = false;

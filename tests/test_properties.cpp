@@ -62,56 +62,6 @@ TEST_P(ShuffleOpsSweep, GroupByKeyMatchesSerial) {
   }
 }
 
-TEST_P(ShuffleOpsSweep, SortByKeyMatchesSerialSort) {
-  const auto [partitions, num_keys] = GetParam();
-  engine::Context ctx(small_cluster());
-  auto pairs = random_pairs(num_keys, partitions * 733 + num_keys);
-
-  auto expected = pairs;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  // Only key order is guaranteed; compare keys and per-key value multisets.
-  auto got = ctx.parallelize(std::move(pairs), partitions)
-                 .sort_by_key()
-                 .collect();
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].first, expected[i].first) << "position " << i;
-  }
-}
-
-TEST_P(ShuffleOpsSweep, DistinctMatchesSet) {
-  const auto [partitions, num_keys] = GetParam();
-  engine::Context ctx(small_cluster());
-  Rng rng(partitions * 17 + num_keys);
-  std::vector<u32> data;
-  for (int i = 0; i < 500; ++i) {
-    data.push_back(static_cast<u32>(rng.below(num_keys)));
-  }
-  std::set<u32> expected(data.begin(), data.end());
-  auto got = ctx.parallelize(std::move(data), partitions).distinct().collect();
-  EXPECT_EQ(std::set<u32>(got.begin(), got.end()), expected);
-  EXPECT_EQ(got.size(), expected.size());
-}
-
-TEST_P(ShuffleOpsSweep, CountByValueMatchesSerial) {
-  const auto [partitions, num_keys] = GetParam();
-  engine::Context ctx(small_cluster());
-  Rng rng(partitions * 29 + num_keys);
-  std::vector<u32> data;
-  std::map<u32, u64> expected;
-  for (int i = 0; i < 400; ++i) {
-    const u32 v = static_cast<u32>(rng.below(num_keys));
-    data.push_back(v);
-    ++expected[v];
-  }
-  auto got = ctx.parallelize(std::move(data), partitions).count_by_value();
-  ASSERT_EQ(got.size(), expected.size());
-  for (const auto& [v, c] : expected) EXPECT_EQ(got.at(v), c);
-}
-
 INSTANTIATE_TEST_SUITE_P(Sweep, ShuffleOpsSweep,
                          ::testing::Combine(::testing::Values(1u, 4u, 16u),
                                             ::testing::Values(3u, 40u,
