@@ -93,7 +93,7 @@ BENCHMARK(BM_LinearProbe)->Arg(100)->Arg(1000)->Arg(10000);
 /// The vertical counting kernel (fim/bitmap.h): support of every candidate
 /// in a tree via word-parallel AND + popcount over the per-item rows.
 /// Compare against BM_HashTreeProbe / BM_LinearProbe at the same candidate
-/// counts -- this is the per-pass work the three count modes trade.
+/// counts -- the dense path's kernel for every tree without a pair index.
 void BM_BitmapAndPopcount(benchmark::State& state) {
   const auto candidates = random_candidates(
       static_cast<u32>(state.range(0)), 3, 200, 2);

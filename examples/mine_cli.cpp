@@ -220,6 +220,20 @@ u64 unsigned_flag(const char* argv0, const std::string& flag,
   return v;
 }
 
+/// The value of a real-valued flag: the whole text must parse as a
+/// decimal or scientific number, so trailing junk ("0.35x", "1e") is a flag
+/// error rather than silently dropped. Ranges are checked by the caller.
+double double_flag(const char* argv0, const std::string& flag,
+                   const char* text) {
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end) {
+    usage(argv0, flag + " takes a number");
+  }
+  return v;
+}
+
 bool known_engine(const std::string& engine) {
   return engine == "yafim" || engine == "mrapriori" || engine == "apriori" ||
          engine == "fpgrowth" || engine == "eclat";
@@ -247,9 +261,9 @@ Options parse(int argc, char** argv) {
     } else if (arg.rfind("--engine=", 0) == 0) {
       opt.engine = value("--engine=");
     } else if (arg.rfind("--minsup=", 0) == 0) {
-      opt.minsup = std::atof(value("--minsup="));
+      opt.minsup = double_flag(argv[0], "--minsup", value("--minsup="));
     } else if (arg.rfind("--rules=", 0) == 0) {
-      opt.rules_confidence = std::atof(value("--rules="));
+      opt.rules_confidence = double_flag(argv[0], "--rules", value("--rules="));
       if (!in_range(opt.rules_confidence, 0.0, 1.0)) {
         usage(argv[0], "--rules must be in (0, 1]");
       }
@@ -299,7 +313,8 @@ Options parse(int argc, char** argv) {
     } else if (arg.rfind("--broadcast-mode=", 0) == 0) {
       opt.broadcast_mode = value("--broadcast-mode=");
     } else if (arg.rfind("--memory-gb=", 0) == 0) {
-      opt.memory_gb = std::atof(value("--memory-gb="));
+      opt.memory_gb =
+          double_flag(argv[0], "--memory-gb", value("--memory-gb="));
     } else if (arg.rfind("--shuffle-buffer-mb=", 0) == 0) {
       // At most what `<< 20` can turn into bytes without overflowing.
       opt.shuffle_buffer_mb =
@@ -312,21 +327,24 @@ Options parse(int argc, char** argv) {
       opt.stream_batches = unsigned_flag(argv[0], "--stream-batches",
                                          value("--stream-batches="));
     } else if (arg.rfind("--stream-window-s=", 0) == 0) {
-      opt.stream_window_s = std::atof(value("--stream-window-s="));
+      opt.stream_window_s = double_flag(argv[0], "--stream-window-s",
+                                        value("--stream-window-s="));
     } else if (arg.rfind("--stream-rate=", 0) == 0) {
-      opt.stream_rate = std::atof(value("--stream-rate="));
+      opt.stream_rate =
+          double_flag(argv[0], "--stream-rate", value("--stream-rate="));
     } else if (arg.rfind("--stream-seed=", 0) == 0) {
       opt.stream_seed =
           unsigned_flag(argv[0], "--stream-seed", value("--stream-seed="));
     } else if (arg == "--approx") {
       opt.approx = true;
     } else if (arg.rfind("--sample-fraction=", 0) == 0) {
-      opt.sample_fraction = std::atof(value("--sample-fraction="));
+      opt.sample_fraction = double_flag(argv[0], "--sample-fraction",
+                                        value("--sample-fraction="));
     } else if (arg.rfind("--samples=", 0) == 0) {
       opt.approx_samples =
           unsigned_flag(argv[0], "--samples", value("--samples="));
     } else if (arg.rfind("--relax=", 0) == 0) {
-      opt.relax = std::atof(value("--relax="));
+      opt.relax = double_flag(argv[0], "--relax", value("--relax="));
     } else if (arg.rfind("--spill-compress=", 0) == 0) {
       const std::string v = value("--spill-compress=");
       if (v != "0" && v != "1") {

@@ -48,6 +48,10 @@ bad_flags=(
   "--checkpoint-dir=ckpt --stop-after-pass=4294967296"
   "--shuffle-buffer-mb=17592186044416"
   "--approx --samples=+4"
+  # real-valued flags take the whole value as a number, no trailing junk
+  "--minsup=0.35x"
+  "--rules=0.9abc"
+  "--memory-gb=1e"
 )
 for flags in "${bad_flags[@]}"; do
   rc=0

@@ -22,29 +22,31 @@ VerticalBitmapIndex::VerticalBitmapIndex(
     : num_transactions_(static_cast<u32>(transactions.size())),
       words_per_row_(static_cast<u32>((transactions.size() + 63) / 64)) {
   // Pass 1: the distinct-item universe of this partition, ascending so slot
-  // order (and therefore the arena layout) is deterministic.
-  Item max_dense = 0;
+  // order (and therefore the arena layout) is deterministic. Ids below the
+  // dense limit are marked in the direct-indexed table and read back in id
+  // order; only the rare larger ids are sorted.
+  std::vector<Item> sparse;
   for (const Transaction& t : transactions) {
     for (Item i : t) {
-      items_.push_back(i);
-      if (i < kDenseSlotLimit) max_dense = std::max(max_dense, i);
+      if (i >= kDenseSlotLimit) {
+        sparse.push_back(i);
+        continue;
+      }
+      if (i >= dense_slots_.size()) dense_slots_.resize(size_t{i} + 1, kNoSlot);
+      dense_slots_[i] = 0;  // present; its slot is assigned below
     }
   }
-  std::sort(items_.begin(), items_.end());
-  items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
-
-  bool any_dense = false;
-  for (u32 slot = 0; slot < items_.size(); ++slot) {
-    const Item item = items_[slot];
-    if (item < kDenseSlotLimit) {
-      if (!any_dense) {
-        dense_slots_.assign(size_t{max_dense} + 1, kNoSlot);
-        any_dense = true;
-      }
-      dense_slots_[item] = slot;
-    } else {
-      sparse_slots_.emplace_back(item, slot);  // items_ sorted => sorted too
-    }
+  for (Item i = 0; i < dense_slots_.size(); ++i) {
+    if (dense_slots_[i] == kNoSlot) continue;
+    dense_slots_[i] = static_cast<u32>(items_.size());
+    items_.push_back(i);
+  }
+  std::sort(sparse.begin(), sparse.end());
+  sparse.erase(std::unique(sparse.begin(), sparse.end()), sparse.end());
+  for (Item item : sparse) {
+    // Sparse ids all sit above the dense ones, so items_ stays ascending.
+    sparse_slots_.emplace_back(item, static_cast<u32>(items_.size()));
+    items_.push_back(item);
   }
 
   // Pass 2: set bit `tid` in each contained item's row.

@@ -1,5 +1,5 @@
-// Vertical bitmap index for Phase II support counting
-// (CountMode::kVerticalBitmap).
+// Vertical bitmap index: the dense counting path's kernel for every tree
+// without a pair index (fim/count_core.h).
 //
 // The data-structure-perspective survey (arXiv 1908.01338) observes that
 // the candidate store, not the level-wise algorithm, dominates Apriori's
@@ -13,11 +13,11 @@
 //   sup(c) = popcount(AND of the rows of c's items)
 //
 // runs word-parallel over contiguous memory with no per-transaction
-// branching at all. The index is built once per partition (from the cached
-// transactions RDD) and reused on every later pass; candidates are read
-// straight out of the hash tree's flat item arena (fim/hash_tree.h), so the
-// inner loop is pure pointer-free streaming: k row pointers, one AND chain,
-// one popcount per word.
+// branching at all. A counting task builds the index from its own
+// transactions, at most once per job, and drops it when the task ends;
+// candidates are read straight out of the hash tree's flat item arena
+// (fim/hash_tree.h), so the inner loop is pure pointer-free streaming:
+// k row pointers, one AND chain, one popcount per word.
 #pragma once
 
 #include <span>
@@ -99,10 +99,5 @@ class VerticalBitmapIndex {
   std::vector<std::pair<Item, u32>> sparse_slots_;  ///< sorted, rare ids
   std::vector<u64> words_;        ///< row arena: slot s at [s*wpr, (s+1)*wpr)
 };
-
-/// byte_size customization point (engine/bytes_of.h, found via ADL): cache
-/// and memory accounting price a persisted index partition at its arena
-/// footprint.
-inline u64 byte_size(const VerticalBitmapIndex& index) { return index.bytes(); }
 
 }  // namespace yafim::fim

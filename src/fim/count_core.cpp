@@ -38,22 +38,40 @@ bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
           !ctx.memory_budget().broadcast_fits(tree_bytes));
 }
 
-engine::RDD<VerticalBitmapIndex> vertical_index(
-    const engine::RDD<Transaction>& transactions, const std::string& name) {
-  auto index =
-      transactions.map_partitions([](const std::vector<Transaction>& part) {
-        std::vector<VerticalBitmapIndex> out;
-        out.emplace_back(part);
-        return out;
-      });
-  index.named(name);
-  return index;
+u64 pair_index_bytes(std::span<const HashTree> trees, bool use_hash_tree) {
+  u64 bytes = 0;
+  if (use_hash_tree) {
+    for (const HashTree& tree : trees) {
+      if (tree.pair_index()) bytes += tree.pair_index()->serialized_bytes();
+    }
+  }
+  return bytes;
+}
+
+void count_split(std::span<const Transaction> split,
+                 std::span<const HashTree> trees, bool use_hash_tree,
+                 u64* cells) {
+  std::optional<VerticalBitmapIndex> index;  // built on first need
+  for (const HashTree& tree : trees) {
+    u64* out = cells + tree.id_offset();
+    if (!use_hash_tree) {
+      for (const Transaction& t : split) {
+        tree.for_each_contained_linear(t, [out](u32 ci) { ++out[ci]; });
+      }
+    } else if (const PairIndex* pairs = tree.pair_index()) {
+      static thread_local std::vector<u32> ranks;
+      for (const Transaction& t : split) pairs->count(t, ranks, out);
+    } else {
+      if (!index) index.emplace(split);
+      index->count_candidates(tree, out);
+    }
+  }
 }
 
 std::vector<CountPair> count_candidate_trees(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const std::shared_ptr<std::vector<HashTree>>& trees, u64 tree_bytes,
-    u64 id_space, std::optional<engine::RDD<VerticalBitmapIndex>>* vertical,
+    u64 id_space, std::optional<engine::RDD<VerticalBitmapIndex>>* /*unused*/,
     const CountCoreOptions& opt) {
   const bool use_hash_tree = opt.use_hash_tree;
   const u64 min_count = opt.min_count;
@@ -95,7 +113,7 @@ std::vector<CountPair> count_candidate_trees(
     return level;
   }
 
-  // All dense paths count into one id-indexed array per partition, merge
+  // Both dense paths count into one id-indexed array per partition, merge
   // the arrays element-wise across the shuffle, and materialize itemsets
   // from the driver-side trees only for MinSup survivors.
   std::vector<u64> counts;
@@ -181,67 +199,23 @@ std::vector<CountPair> count_candidate_trees(
                 })
             .named(pass_name + ":shard-count")
             .sum_arrays(id_space, pass_name + ":count");
-  } else if (opt.count_mode == CountMode::kCandidateId) {
-    // Dense probing: per-transaction hash-tree walks, no per-hit itemset
-    // copies. A tree with a pair index (a complete C2) is counted through
-    // the triangular pair kernel instead of its walk; the indexes ship with
-    // the trees and are priced with them.
-    u64 bytes = tree_bytes;
-    if (use_hash_tree) {
-      for (const HashTree& tree : *trees) {
-        if (tree.pair_index()) bytes += tree.pair_index()->serialized_bytes();
-      }
-    }
-    auto broadcast_trees = ctx.broadcast(trees, bytes, pass_name + ":trees");
+  } else {
+    // Dense broadcast: each task counts every tree over its own partition
+    // through count_split. The pair indexes ship with the trees and are
+    // priced with them.
+    auto broadcast_trees = ctx.broadcast(
+        trees, tree_bytes + pair_index_bytes(*trees, use_hash_tree),
+        pass_name + ":trees");
     counts =
         transactions
             .map_partitions([broadcast_trees, use_hash_tree, id_space](
                                 const std::vector<Transaction>& part) {
               std::vector<u64> acc(id_space, 0);
-              for (const Transaction& t : part) {
-                for (const HashTree& tree : **broadcast_trees) {
-                  u64* cells = acc.data() + tree.id_offset();
-                  auto on_hit = [cells](u32 ci) { ++cells[ci]; };
-                  if (use_hash_tree && tree.pair_index()) {
-                    static thread_local std::vector<u32> ranks;
-                    tree.pair_index()->count(t, ranks, cells);
-                  } else if (use_hash_tree) {
-                    static thread_local HashTree::Probe probe;
-                    tree.for_each_contained(t, probe, on_hit);
-                  } else {
-                    tree.for_each_contained_linear(t, on_hit);
-                  }
-                }
-              }
+              count_split(part, **broadcast_trees, use_hash_tree, acc.data());
               std::vector<std::vector<u64>> out;
               out.push_back(std::move(acc));
               return out;
             })
-            .sum_arrays(id_space, pass_name + ":count");
-  } else {
-    // Vertical: no per-transaction work at all -- each partition's cached
-    // bitmap index answers every candidate with a word-parallel AND +
-    // popcount over its item rows.
-    YAFIM_CHECK(vertical && vertical->has_value(),
-                "vertical bitmap mode needs the per-partition index RDD");
-    auto broadcast_trees =
-        ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
-    counts =
-        (*vertical)
-            ->map_partitions(
-                [broadcast_trees,
-                 id_space](const std::vector<VerticalBitmapIndex>& part) {
-                  std::vector<u64> acc(id_space, 0);
-                  for (const VerticalBitmapIndex& index : part) {
-                    for (const HashTree& tree : **broadcast_trees) {
-                      index.count_candidates(tree,
-                                             acc.data() + tree.id_offset());
-                    }
-                  }
-                  std::vector<std::vector<u64>> out;
-                  out.push_back(std::move(acc));
-                  return out;
-                })
             .sum_arrays(id_space, pass_name + ":count");
   }
 

@@ -3,34 +3,35 @@
 // One cluster counting job: given a batch of candidate hash trees (one per
 // level) and a transactions RDD, produce the support of every candidate at
 // or above a threshold. This is the Phase-II inner loop of yafim_mine,
-// extracted verbatim -- stage labels, cost pricing, ledger/linter notes and
-// obs counters are unchanged -- so that the batch miner and the streaming
+// shared so that the batch miner, the sampling miner and the streaming
 // micro-batch miner (stream/miner.h) count through the exact same code and
 // stay bit-identical with each other per batch of transactions. The steps
 // around a counting job that the level-wise miners share live here too:
 // building the candidate trees (also for the MapReduce miners' distributed
 // cache), the broadcast-vs-partitioned decision (also for MRApriori) and
-// the per-partition bitmap index.
+// the dense per-split kernel (also for MRApriori's map side).
 //
-// Four paths, selected by (count_mode, partitioned):
-//   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
-//                         a reduce_by_key shuffle.
-//   * kCandidateId     -- dense per-partition u64 arrays indexed by
-//                         batch-global candidate id, merged via sum_arrays
-//                         (which ships only nonzero cells). A tree with a
-//                         PairIndex (a complete C2) is counted by the
-//                         triangular pair kernel instead of its walk; the
-//                         index is broadcast and priced with the trees.
-//   * kVerticalBitmap  -- cached per-partition VerticalBitmapIndex answers
-//                         each candidate with AND + popcount; merged via
-//                         sum_arrays.
-//   * partitioned      -- any mode degrades here when the trees outgrow the
-//                         executor budget: trees sharded by candidate
-//                         prefix, transactions routed to their shards.
+// Two pipelines, selected by count_mode, and the partitioned store:
+//   * kItemsetKey      -- paper-faithful: every hash-tree hit copies its
+//                         itemset into a reduce_by_key shuffle.
+//   * kCandidateId     -- dense: each task counts into one u64 array
+//                         indexed by batch-global candidate id, merged via
+//                         sum_arrays (which ships only nonzero cells). The
+//                         per-split kernel (count_split) picks each tree's
+//                         counter from the tree itself: its PairIndex (a
+//                         complete C2), else AND+popcount over a bitmap
+//                         index the task builds from its own transactions.
+//                         MRApriori's dense job counts through the same
+//                         kernel, one call per map split.
+//   * partitioned      -- either mode degrades here when the trees outgrow
+//                         the executor budget: trees sharded by candidate
+//                         prefix, transactions routed to their shards and
+//                         walked through the shard trees.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,7 +47,8 @@ namespace yafim::fim {
 
 struct CountCoreOptions {
   CountMode count_mode = CountMode::kItemsetKey;
-  /// Probe via the hash tree (true) or linear candidate scans (false).
+  /// Count via the hash tree or the dense kernels (true), or via linear
+  /// candidate scans (false).
   bool use_hash_tree = true;
   /// Use the partitioned candidate store instead of broadcasting the trees
   /// whole (the caller takes the fits/doesn't-fit decision per pass).
@@ -89,17 +91,26 @@ CandidateTrees build_candidate_trees(std::vector<std::vector<Itemset>> levels,
 bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
                            u64 tree_bytes);
 
-/// One VerticalBitmapIndex per partition of `transactions`, named `name`.
-/// Not persisted: whether the index outlives one job is the caller's call.
-engine::RDD<VerticalBitmapIndex> vertical_index(
-    const engine::RDD<Transaction>& transactions, const std::string& name);
+/// Bytes of the pair indexes the dense path ships next to `trees` (none
+/// under the linear-scan ablation, which does not count through them).
+u64 pair_index_bytes(std::span<const HashTree> trees, bool use_hash_tree);
+
+/// The dense per-split kernel: adds one to cells[tree.id_offset() + ci] for
+/// every candidate ci of every tree contained in a transaction of `split`.
+/// A tree with a PairIndex is counted through it; every other tree by
+/// AND+popcount over one VerticalBitmapIndex built from `split` on first
+/// need and dropped on return. With use_hash_tree = false (the linear-scan
+/// ablation) each tree is scanned candidate by candidate instead.
+void count_split(std::span<const Transaction> split,
+                 std::span<const HashTree> trees, bool use_hash_tree,
+                 u64* cells);
 
 /// Count every candidate in `trees` against `transactions` and return those
 /// with support >= opt.min_count. `tree_bytes` is the serialized size of
 /// the batch (broadcast pricing + fallback ledger note); `id_space` the
-/// batch-global dense id space (HashTree::assign_id_offsets). `vertical`
-/// may be null except in non-partitioned kVerticalBitmap mode, where it
-/// must point to an engaged optional holding the per-partition index RDD.
+/// batch-global dense id space (HashTree::assign_id_offsets). The
+/// `vertical` argument is ignored (pass nullptr): the dense path builds its
+/// bitmap index inside each task.
 std::vector<CountPair> count_candidate_trees(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const std::shared_ptr<std::vector<HashTree>>& trees, u64 tree_bytes,

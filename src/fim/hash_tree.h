@@ -18,8 +18,9 @@
 // a node-count's worth of small allocations.
 //
 // A k = 2 tree over a complete ordered pair set also carries a PairIndex,
-// the triangular-array structure the dense counting path uses for pass 2
-// in place of the walk.
+// the triangular-array structure the dense counting path uses for pass 2.
+// The dense path never walks the tree: the walk serves the paper-faithful
+// kItemsetKey path and the partitioned store's shard trees.
 #pragma once
 
 #include <optional>
@@ -35,25 +36,22 @@ namespace yafim::fim {
 /// How the per-pass counting stage keys its shuffle (shared by both
 /// miners; see DESIGN "counting data structures").
 enum class CountMode {
-  /// Paper-faithful: shuffle keyed on full Itemset vectors.
+  /// Paper-faithful: every hash-tree hit emits its full Itemset, and the
+  /// shuffle is keyed on it.
   kItemsetKey,
   /// Dense: count into fixed-width arrays indexed by candidate id
   /// (tree-local index + the tree's batch-global id offset); itemsets are
-  /// materialized from the broadcast tree only for MinSup survivors. A
-  /// complete C2 is counted through its PairIndex, not a tree walk.
+  /// materialized from the broadcast tree only for MinSup survivors. Each
+  /// tree is counted by its PairIndex (a complete C2) or, failing that, by
+  /// AND+popcount over a task-local bitmap index (fim/bitmap.h); the tree
+  /// itself only carries the candidate arena and the dense id space.
   kCandidateId,
-  /// Vertical: per-item transaction bitmaps built once per partition
-  /// (fim/bitmap.h); candidate support = popcount of the word-parallel AND
-  /// of its item rows. No per-transaction probing at all -- the hash tree
-  /// only carries the candidate arena and the dense id space.
-  kVerticalBitmap,
 };
 
 inline const char* count_mode_name(CountMode mode) {
   switch (mode) {
     case CountMode::kItemsetKey: return "itemset_key";
     case CountMode::kCandidateId: return "candidate_id";
-    case CountMode::kVerticalBitmap: return "vertical_bitmap";
   }
   return "unknown";
 }

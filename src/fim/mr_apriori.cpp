@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
 #include "fim/hash_tree.h"
@@ -169,33 +168,21 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
       IdSpec job = counting_job<IdSpec>(
           name, min_count, options.num_mappers, options.num_reducers,
           [t](u32 ci) { return t->candidate(ci); });
-      if (options.count_mode == CountMode::kVerticalBitmap) {
-        // Vertical: each map split builds a bitmap index over its
-        // transactions (MapReduce has no cross-job cache, so the index is
-        // rebuilt per level -- the honest cost of the substrate) and emits
-        // one (candidate_id, count) pair per candidate with nonzero support.
-        job.map_partition_fn = [t](std::span<const Transaction> split,
-                                   mr::Emitter<u32, u64>& emit) {
-          const VerticalBitmapIndex index(split);
-          std::vector<u64> cells(t->size(), 0);
-          index.count_candidates(*t, cells.data());
-          for (u32 ci = 0; ci < cells.size(); ++ci) {
-            if (cells[ci] != 0) emit.emit(ci, cells[ci]);
-          }
-        };
-      } else {
-        job.map_fn = [t, use_hash_tree](const Transaction& txn,
-                                        mr::Emitter<u32, u64>& emit) {
-          auto on_hit = [&](u32 ci) { emit.emit(ci, 1); };
-          if (use_hash_tree) {
-            static thread_local HashTree::Probe probe;
-            t->for_each_contained(txn, probe, on_hit);
-          } else {
-            t->for_each_contained_linear(txn, on_hit);
-          }
-        };
-      }
-      job.distributed_cache_bytes = t->serialized_bytes();
+      // Each map split counts into one candidate-id array through the
+      // dense per-split kernel (fim/count_core.h) and emits its nonzero
+      // cells; the pair index travels with the tree.
+      const std::span<const HashTree> trees(t.get(), 1);
+      job.map_partition_fn = [t, trees, use_hash_tree](
+                                 std::span<const Transaction> split,
+                                 mr::Emitter<u32, u64>& emit) {
+        std::vector<u64> cells(t->size(), 0);
+        count_split(split, trees, use_hash_tree, cells.data());
+        for (u32 ci = 0; ci < cells.size(); ++ci) {
+          if (cells[ci] != 0) emit.emit(ci, cells[ci]);
+        }
+      };
+      job.distributed_cache_bytes =
+          t->serialized_bytes() + pair_index_bytes(trees, use_hash_tree);
       return runner.run(job, input_path, out);
     };
 

@@ -7,6 +7,9 @@
 //
 // The paper notes all MapReduce implementations of Apriori share this
 // per-iteration I/O structure, so one baseline represents the class.
+// Counting inside a job follows YafimOptions' count modes: the paper's
+// per-record hash-tree probe under kItemsetKey, one dense per-split kernel
+// call (fim/count_core.h) under the default kCandidateId.
 #pragma once
 
 #include <string>
@@ -33,11 +36,12 @@ struct MrAprioriOptions {
   u32 leaf_capacity = 16;
   /// Counting-shuffle key for jobs k >= 2 (matches YafimOptions so the
   /// YAFIM-vs-MRApriori comparison stays apples-to-apples): kItemsetKey
-  /// shuffles full itemsets, kCandidateId shuffles dense candidate ids and
-  /// maps survivors back through the mapper-side tree in the reducer;
-  /// kVerticalBitmap builds a bitmap index per map split (MapReduce has no
-  /// cross-job cache, so it is rebuilt each level) and emits nonzero
-  /// candidate-id counts from an in-mapper AND+popcount pass.
+  /// emits (itemset, 1) per hash-tree hit; kCandidateId counts each map
+  /// split through the same per-split kernel as YAFIM (pair index for C2,
+  /// bitmap AND+popcount otherwise, fim/count_core.h), emits the nonzero
+  /// (candidate_id, count) cells, and maps survivors back through the
+  /// mapper-side tree in the reducer. MapReduce has no cross-job cache, so
+  /// the split's bitmap index is rebuilt by every job.
   CountMode count_mode = CountMode::kCandidateId;
   /// How the candidate tree reaches the mappers when it outgrows the
   /// executor-memory budget (matches YafimOptions): kAuto localizes the

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "engine/rdd.h"
 #include "fim/apriori_seq.h"
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
 #include "fim/hash_tree.h"
@@ -276,12 +274,6 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   if (!batch.trees->empty()) {
     const bool partitioned =
         use_partitioned_store(ctx, options.broadcast_mode, batch.bytes);
-    std::optional<engine::RDD<VerticalBitmapIndex>> vertical;
-    if (options.count_mode == CountMode::kVerticalBitmap && !partitioned) {
-      // One verification pass only: build the index inline, don't persist
-      // (a cached copy would never be reused).
-      vertical.emplace(vertical_index(transactions, "vertical:bitmaps"));
-    }
     if (!options.cache_transactions) {
       parse_stage("verify:recompute lineage");
     }
@@ -297,7 +289,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
     count_opt.pass_name = "verify";
     Stopwatch count_clock;
     verified = count_candidate_trees(ctx, transactions, batch.trees,
-                                     batch.bytes, batch.id_space, &vertical,
+                                     batch.bytes, batch.id_space, nullptr,
                                      count_opt);
     run.count_host_seconds += count_clock.seconds();
   }

@@ -12,7 +12,7 @@
 //     from the same candidate generator the exact miners use.
 //   Phase 2 (global verify): the union of all locally frequent itemsets
 //     and borders is counted once against the full dataset through the
-//     shared counting core (fim/count_core.h), so all three CountModes,
+//     shared counting core (fim/count_core.h), so both CountModes,
 //     the partitioned broadcast fallback and the plan linter apply
 //     unchanged. Survivors at MinSup are reported with exact supports.
 //

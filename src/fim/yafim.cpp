@@ -8,7 +8,6 @@
 
 #include "engine/broadcast.h"
 #include "engine/rdd.h"
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
 #include "fim/hash_tree.h"
@@ -158,11 +157,6 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   // With combine_passes > 1, one cluster pass counts a batch of candidate
   // levels (levels beyond the first generated from candidates, a superset
   // of the true Ck -- results stay exact).
-  //
-  // kVerticalBitmap keeps a second cached RDD: one VerticalBitmapIndex per
-  // transactions partition, built lazily on the first counting pass and
-  // reused (cache-hit) by every later pass.
-  std::optional<engine::RDD<VerticalBitmapIndex>> vertical;
   for (u32 k = last_completed + 1; !frequent.empty();) {
     if (options.stop_after_pass && last_completed >= options.stop_after_pass) {
       break;  // simulated crash: the last snapshot is the recovery point
@@ -226,24 +220,9 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     const bool partitioned =
         use_partitioned_store(ctx, options.broadcast_mode, cand.bytes);
 
-    // Vertical mode: build the per-partition bitmap index once, on the
-    // first counting pass; the persisted RDD serves every later pass from
-    // cache, so candidate counting never rescans transactions again. A
-    // partitioned pass re-partitions raw transactions instead of probing
-    // the per-partition index, so it neither builds nor reads it.
-    const bool bitmap_mode = options.count_mode == CountMode::kVerticalBitmap;
-    const bool builds_vertical = bitmap_mode && !vertical && !partitioned;
-    if (builds_vertical) {
-      vertical.emplace(vertical_index(transactions, "vertical:bitmaps"));
-      vertical->persist();
-    }
-
     // Without caching, Spark recomputes the transactions lineage from
-    // HDFS on every action: charge the re-read and the re-parse. Bitmap
-    // passes read the cached vertical index instead, so only the pass that
-    // builds it pays the recompute.
-    if (!options.cache_transactions &&
-        (!bitmap_mode || builds_vertical || partitioned)) {
+    // HDFS on every action: charge the re-read and the re-parse.
+    if (!options.cache_transactions) {
       parse_stage("pass" + std::to_string(k) + ":recompute lineage");
     }
 
@@ -261,7 +240,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     count_opt.pass_name = "pass" + std::to_string(k);
     Stopwatch count_clock;
     level = count_candidate_trees(ctx, transactions, cand.trees, cand.bytes,
-                                  cand.id_space, &vertical, count_opt);
+                                  cand.id_space, nullptr, count_opt);
     run.count_host_seconds += count_clock.seconds();
 
     // Split the mixed-size result back into levels.

@@ -10,6 +10,12 @@
 //                         Transactions.flatMap(subset(Ck, t))
 //                         -> map((c, 1)) -> reduceByKey(+)
 //                         -> filter(>= MinSup)                    => Lk
+//
+// Phase II as written is CountMode::kItemsetKey. The default,
+// kCandidateId, keeps the broadcast and the level-wise loop but counts
+// each partition into a dense candidate-id array instead of walking the
+// tree: C2 through its triangular pair index, later levels by bitmap
+// AND+popcount (fim/count_core.h).
 #pragma once
 
 #include <string>
@@ -33,17 +39,18 @@ struct YafimOptions {
   /// cache the transactions RDD in memory across iterations; off models
   /// Spark recomputing from HDFS every pass.
   bool cache_transactions = true;
-  /// probe candidates through the hash tree; off scans candidates linearly.
+  /// count through the hash tree (kItemsetKey) or the pair/bitmap kernels
+  /// (kCandidateId); off scans candidates linearly.
   bool use_hash_tree = true;
 
   /// How Phase II counts candidate hits (fim/hash_tree.h). kItemsetKey is
   /// the paper-faithful shuffle keyed on full itemsets; kCandidateId (the
   /// default) counts into dense per-partition arrays indexed by candidate
-  /// id and merges them with sum_arrays(); kVerticalBitmap builds a cached
-  /// per-partition bitmap index (fim/bitmap.h) on the first counting pass
-  /// and answers each candidate with an AND+popcount over its item rows.
-  /// All three yield bit-identical FrequentItemsets; only the data
-  /// structure and its pricing differ.
+  /// id and merges them with sum_arrays(). Each task counts C2 through its
+  /// pair index and every other level by AND+popcount over a bitmap index
+  /// it builds from its own partition (fim/count_core.h). Both modes yield
+  /// bit-identical FrequentItemsets; only the data structure and its
+  /// pricing differ.
   CountMode count_mode = CountMode::kCandidateId;
 
   /// How the per-pass candidate trees reach the workers (fim/hash_tree.h):

@@ -10,7 +10,6 @@
 
 #include "engine/rdd.h"
 #include "engine/work.h"
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
 #include "fim/hash_tree.h"
@@ -402,15 +401,6 @@ class StreamingMiner {
     const bool partitioned =
         fim::use_partitioned_store(ctx_, options_.broadcast_mode, cand.bytes);
 
-    std::optional<engine::RDD<fim::VerticalBitmapIndex>> vertical;
-    if (options_.count_mode == fim::CountMode::kVerticalBitmap &&
-        !partitioned) {
-      // Streaming data is new every batch, so the index is rebuilt per job
-      // rather than served from a run-long cache like the batch miner's.
-      vertical.emplace(
-          fim::vertical_index(transactions, pass_name + ":bitmaps"));
-    }
-
     fim::CountCoreOptions opt;
     opt.count_mode = options_.count_mode;
     opt.use_hash_tree = options_.use_hash_tree;
@@ -422,7 +412,7 @@ class StreamingMiner {
     opt.min_count = 1;
     opt.pass_name = pass_name;
     return fim::count_candidate_trees(ctx_, transactions, cand.trees,
-                                      cand.bytes, cand.id_space, &vertical,
+                                      cand.bytes, cand.id_space, nullptr,
                                       opt);
   }
 

@@ -449,44 +449,13 @@ INSTANTIATE_TEST_SUITE_P(
             0.3341285384533401,
             {{1, 23, 23, 0.9522806044509293},
              {2, 253, 118, 0.6363771925127407},
-             {3, 313, 179, 0.6395327552400135},
-             {4, 243, 227, 0.639649043876377},
-             {5, 254, 241, 0.639479581537457},
-             {6, 168, 164, 0.6377121334218316},
-             {7, 59, 55, 0.5432277905531339},
-             {8, 9, 9, 0.5420128678258611},
-             {9, 1, 1, 0.4622303501582286}},
-            {"load:textFile+parse", "phase1:count:map-combine",
-             "phase1:count:reduce", "phase1:collect",
-             "pass2:ap_gen+buildHashTree", "pass2:count:map-combine",
-             "pass2:count:reduce", "pass2:materialize",
-             "pass3:ap_gen+buildHashTree", "pass3:count:map-combine",
-             "pass3:count:reduce", "pass3:materialize",
-             "pass4:ap_gen+buildHashTree", "pass4:count:map-combine",
-             "pass4:count:reduce", "pass4:materialize",
-             "pass5:ap_gen+buildHashTree", "pass5:count:map-combine",
-             "pass5:count:reduce", "pass5:materialize",
-             "pass6:ap_gen+buildHashTree", "pass6:count:map-combine",
-             "pass6:count:reduce", "pass6:materialize",
-             "pass7:ap_gen+buildHashTree", "pass7:count:map-combine",
-             "pass7:count:reduce", "pass7:materialize",
-             "pass8:ap_gen+buildHashTree", "pass8:count:map-combine",
-             "pass8:count:reduce", "pass8:materialize",
-             "pass9:ap_gen+buildHashTree", "pass9:count:map-combine",
-             "pass9:count:reduce", "pass9:materialize"}},
-        PricingCase{
-            "YafimVerticalBitmap",
-            yafim_case(fim::CountMode::kVerticalBitmap),
-            0.3341285384533401,
-            {{1, 23, 23, 0.9522806044509293},
-             {2, 253, 118, 0.6357958379672862},
-             {3, 313, 179, 0.6368017552400135},
-             {4, 243, 227, 0.6365145438763771},
-             {5, 254, 241, 0.6365673175127406},
-             {6, 168, 164, 0.6359296334218316},
-             {7, 59, 55, 0.5424822905531339},
-             {8, 9, 9, 0.541935867825861},
-             {9, 1, 1, 0.46220835015822864}},
+             {3, 313, 179, 0.6369937552400134},
+             {4, 243, 227, 0.6367065438763772},
+             {5, 254, 241, 0.6367593175127406},
+             {6, 168, 164, 0.6361216334218317},
+             {7, 59, 55, 0.5426742905531339},
+             {8, 9, 9, 0.542127867825861},
+             {9, 1, 1, 0.4624003501582286}},
             {"load:textFile+parse", "phase1:count:map-combine",
              "phase1:count:reduce", "phase1:collect",
              "pass2:ap_gen+buildHashTree", "pass2:count:map-combine",
@@ -586,42 +555,7 @@ INSTANTIATE_TEST_SUITE_P(
             mr_apriori_case(fim::CountMode::kCandidateId),
             0.0,
             {{1, 23, 23, 22.240777471920573},
-             {2, 253, 118, 22.248487830300416},
-             {3, 313, 179, 22.252780550405422},
-             {4, 243, 227, 22.25158837545193},
-             {5, 254, 241, 22.252085269391326},
-             {6, 168, 164, 22.24806786858724},
-             {7, 59, 55, 22.243153105253906},
-             {8, 9, 9, 22.24003703070845},
-             {9, 1, 1, 22.239555041314514}},
-            {"mrapriori:job1:startup", "mrapriori:job1:map",
-             "mrapriori:job1:reduce", "mrapriori:driver read L1",
-             "mrapriori:ap_gen L2", "mrapriori:job2:startup",
-             "mrapriori:job2:map", "mrapriori:job2:reduce",
-             "mrapriori:driver read L2", "mrapriori:ap_gen L3",
-             "mrapriori:job3:startup", "mrapriori:job3:map",
-             "mrapriori:job3:reduce", "mrapriori:driver read L3",
-             "mrapriori:ap_gen L4", "mrapriori:job4:startup",
-             "mrapriori:job4:map", "mrapriori:job4:reduce",
-             "mrapriori:driver read L4", "mrapriori:ap_gen L5",
-             "mrapriori:job5:startup", "mrapriori:job5:map",
-             "mrapriori:job5:reduce", "mrapriori:driver read L5",
-             "mrapriori:ap_gen L6", "mrapriori:job6:startup",
-             "mrapriori:job6:map", "mrapriori:job6:reduce",
-             "mrapriori:driver read L6", "mrapriori:ap_gen L7",
-             "mrapriori:job7:startup", "mrapriori:job7:map",
-             "mrapriori:job7:reduce", "mrapriori:driver read L7",
-             "mrapriori:ap_gen L8", "mrapriori:job8:startup",
-             "mrapriori:job8:map", "mrapriori:job8:reduce",
-             "mrapriori:driver read L8", "mrapriori:ap_gen L9",
-             "mrapriori:job9:startup", "mrapriori:job9:map",
-             "mrapriori:job9:reduce", "mrapriori:driver read L9"}},
-        PricingCase{
-            "MrAprioriVerticalBitmap",
-            mr_apriori_case(fim::CountMode::kVerticalBitmap),
-            0.0,
-            {{1, 23, 23, 22.240777471920573},
-             {2, 253, 118, 22.24569783030042},
+             {2, 253, 118, 22.246542584845873},
              {3, 313, 179, 22.248288550405423},
              {4, 243, 227, 22.246846875451933},
              {5, 254, 241, 22.247557269391326},
@@ -657,14 +591,14 @@ INSTANTIATE_TEST_SUITE_P(
                             fim::BroadcastMode::kPartitioned),
             0.0,
             {{1, 23, 23, 22.240777471920573},
-             {2, 253, 118, 44.48849549656842},
-             {3, 313, 179, 44.492469134645226},
-             {4, 243, 227, 44.49120167676644},
-             {5, 254, 241, 44.491794570705835},
-             {6, 168, 164, 44.48763666990175},
-             {7, 59, 55, 22.24318261192057},
-             {8, 9, 9, 22.240041530708453},
-             {9, 1, 1, 22.239555541314513}},
+             {2, 253, 118, 44.48562499656842},
+             {3, 313, 179, 44.488190634645235},
+             {4, 243, 227, 44.48664967676643},
+             {5, 254, 241, 44.48745957070584},
+             {6, 168, 164, 44.48507466990175},
+             {7, 59, 55, 22.24222311192057},
+             {8, 9, 9, 22.240092530708452},
+             {9, 1, 1, 22.23971854131451}},
             {"mrapriori:job1:startup", "mrapriori:job1:map",
              "mrapriori:job1:reduce", "mrapriori:driver read L1",
              "mrapriori:ap_gen L2", "mrapriori:job2:shard-candidates",
@@ -810,7 +744,7 @@ INSTANTIATE_TEST_SUITE_P(
             big_fim_run,
             0.0,
             {{1, 23, 23, 22.240777471920573},
-             {2, 253, 118, 22.248487830300416},
+             {2, 253, 118, 22.246542584845873},
              {3, 118, 876, 22.338404845556937}},
             {"mrapriori:job1:startup", "mrapriori:job1:map",
              "mrapriori:job1:reduce", "mrapriori:driver read L1",

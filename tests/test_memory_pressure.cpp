@@ -32,8 +32,7 @@ namespace yafim::fim {
 namespace {
 
 constexpr CountMode kAllModes[] = {CountMode::kItemsetKey,
-                                   CountMode::kCandidateId,
-                                   CountMode::kVerticalBitmap};
+                                   CountMode::kCandidateId};
 
 engine::Context::Options small_cluster() {
   engine::Context::Options opts;
@@ -288,14 +287,13 @@ TEST(MemoryPressure, UncompressedSpillAlsoExact) {
 /// compressed, never more.
 TEST(MemoryPressure, SumArraysSpillsEncodedBlocks) {
   const auto db = random_db(16, 300, 0.35, 5);
-  for (CountMode mode : {CountMode::kCandidateId, CountMode::kVerticalBitmap}) {
+  {
     YafimOptions opt;
     opt.min_support = 0.2;
-    opt.count_mode = mode;
+    opt.count_mode = CountMode::kCandidateId;
     const auto reference = run_yafim(db, opt);
     for (bool compress : {false, true}) {
-      SCOPED_TRACE(std::string(count_mode_name(mode)) +
-                   (compress ? " compressed" : " uncompressed"));
+      SCOPED_TRACE(compress ? "compressed" : "uncompressed");
       auto copts = small_cluster();
       copts.cluster.shuffle_buffer_bytes = 1;
       engine::Context ctx(copts);

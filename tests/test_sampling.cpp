@@ -161,8 +161,7 @@ TEST(Sampling, SeededDeterminismAcrossCountModesAndBroadcast) {
   base.seed = 7;
 
   const SamplingRun first = mine(db, base);
-  for (CountMode mode : {CountMode::kItemsetKey, CountMode::kCandidateId,
-                         CountMode::kVerticalBitmap}) {
+  for (CountMode mode : {CountMode::kItemsetKey, CountMode::kCandidateId}) {
     for (BroadcastMode bmode :
          {BroadcastMode::kAuto, BroadcastMode::kPartitioned}) {
       SamplingOptions opt = base;
