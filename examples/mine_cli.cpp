@@ -150,8 +150,9 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  before every action/shuffle and print the diagnostics;\n"
       "  --lint=error exits 3 on any warn-or-worse diagnostic\n"
       "  (yafim|mrapriori; notes such as an engaged fallback pass)\n"
-      "--no-cache: skip caching the transactions RDD (yafim only; the\n"
-      "  lineage re-reads HDFS every pass, and --lint reports YL001)\n"
+      "--no-cache: skip caching the transactions RDD (yafim only, not\n"
+      "  --stream; the lineage re-reads HDFS every pass, and --lint\n"
+      "  reports YL001)\n"
       "--detsan: determinism sanitizer (yafim|mrapriori; composes with\n"
       "  --stream/--approx): re-execute a deterministic sample of tasks\n"
       "  with permuted input order, compare canonical output hashes, and\n"
@@ -386,8 +387,9 @@ Options parse(int argc, char** argv) {
     usage(argv[0], "--detsan-selftest runs fixture plans, not a miner; "
                    "drop --stream/--approx");
   }
-  if (opt.no_cache && opt.engine != "yafim") {
-    usage(argv[0], "--no-cache requires --engine=yafim");
+  if (opt.no_cache && (opt.engine != "yafim" || opt.stream)) {
+    usage(argv[0], "--no-cache requires --engine=yafim without --stream "
+                   "(the stream keeps no transactions RDD)");
   }
   if (opt.broadcast_mode != "auto" && opt.broadcast_mode != "full" &&
       opt.broadcast_mode != "partitioned") {

@@ -27,6 +27,8 @@ bad_flags=(
   "--approx --engine=apriori"
   "--approx --stream"
   "--approx --checkpoint-dir=ckpt"
+  # --no-cache has nothing to drop under --stream
+  "--stream --no-cache"
   # out-of-range and NaN numeric flags
   "--minsup=0"
   "--minsup=nan --engine=mrapriori"

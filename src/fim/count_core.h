@@ -11,7 +11,11 @@
 // cache), the broadcast-vs-partitioned decision (also for MRApriori) and
 // the dense per-split kernel (also for MRApriori's map side).
 //
-// Two pipelines, selected by count_mode, and the partitioned store:
+// Two pipelines, selected by count_mode, and the partitioned store. Each
+// miner takes the one that measured best for it: YAFIM either (its
+// count_mode option; kItemsetKey is the paper-faithful ablation), the
+// sampling verifier kItemsetKey, the stream kCandidateId, and MRApriori
+// the dense kernel alone (count_split per map split).
 //   * kItemsetKey      -- paper-faithful: every hash-tree hit copies its
 //                         itemset into a reduce_by_key shuffle.
 //   * kCandidateId     -- dense: each task counts into one u64 array

@@ -33,8 +33,9 @@
 
 namespace yafim::fim {
 
-/// How the per-pass counting stage keys its shuffle (shared by both
-/// miners; see DESIGN "counting data structures").
+/// How a counting job keys its shuffle (see DESIGN "counting data
+/// structures"). Only YafimOptions exposes it; fim/count_core.h lists the
+/// path each other miner is fixed to.
 enum class CountMode {
   /// Paper-faithful: every hash-tree hit emits its full Itemset, and the
   /// shuffle is keyed on it.

@@ -43,13 +43,11 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
   u64 fingerprint = 0;
   std::optional<CheckpointState> restored;
   if (options.checkpoint) {
-    // count_mode and broadcast_mode folded in for the same reason as
-    // yafim.cpp: the modes price the k >= 2 jobs differently, so
-    // snapshots must not mix.
+    // broadcast_mode folded in for the same reason as yafim.cpp: the
+    // modes price the k >= 2 jobs differently, so snapshots must not mix.
     fingerprint = checkpoint_fingerprint(
         "mrapriori", xxh64(raw.data(), raw.size()), min_count,
         options.max_levels +
-            (u64{static_cast<u32>(options.count_mode)} << 32) +
             (u64{static_cast<u32>(options.broadcast_mode)} << 36));
     restored = load_latest_snapshot(*options.checkpoint, fingerprint);
   }
@@ -135,36 +133,15 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     const u64 num_candidates = tree->size();
     const std::string job_name = "mrapriori:job" + std::to_string(k);
     const std::string out_path = options.work_dir + "/L" + std::to_string(k);
-    const bool use_hash_tree = options.use_hash_tree;
 
     // One counting job over `t`'s candidates -- the full tree, or one
     // shard of it under the partitioned fallback; `t` travels to the
-    // mappers via the distributed cache either way.
+    // mappers via the distributed cache either way. Mappers emit candidate
+    // ids; reducers sum, threshold, and map survivors back to itemsets
+    // through their copy of the tree.
     auto run_level_job = [&](std::shared_ptr<const HashTree> t,
                              const std::string& name,
                              const std::string& out) {
-      if (options.count_mode == CountMode::kItemsetKey) {
-        // Paper-faithful: mappers emit (itemset, 1) for every hit.
-        Spec job = counting_job<Spec>(name, min_count, options.num_mappers,
-                                      options.num_reducers);
-        job.map_fn = [t, use_hash_tree](const Transaction& txn,
-                                        mr::Emitter<Itemset, u64>& emit) {
-          auto on_hit = [&](u32 ci) { emit.emit(t->candidate(ci), 1); };
-          if (use_hash_tree) {
-            static thread_local HashTree::Probe probe;
-            t->for_each_contained(txn, probe, on_hit);
-          } else {
-            t->for_each_contained_linear(txn, on_hit);
-          }
-        };
-        // Candidate hash tree travels to every node via the distributed
-        // cache.
-        job.distributed_cache_bytes = t->serialized_bytes();
-        return runner.run(job, input_path, out);
-      }
-      // Dense: mappers emit candidate ids; reducers sum, threshold, and map
-      // survivors back to itemsets through their copy of the tree (already
-      // localized via the distributed cache).
       IdSpec job = counting_job<IdSpec>(
           name, min_count, options.num_mappers, options.num_reducers,
           [t](u32 ci) { return t->candidate(ci); });
@@ -172,17 +149,17 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
       // dense per-split kernel (fim/count_core.h) and emits its nonzero
       // cells; the pair index travels with the tree.
       const std::span<const HashTree> trees(t.get(), 1);
-      job.map_partition_fn = [t, trees, use_hash_tree](
-                                 std::span<const Transaction> split,
-                                 mr::Emitter<u32, u64>& emit) {
+      job.map_partition_fn = [t, trees](std::span<const Transaction> split,
+                                        mr::Emitter<u32, u64>& emit) {
         std::vector<u64> cells(t->size(), 0);
-        count_split(split, trees, use_hash_tree, cells.data());
+        count_split(split, trees, /*use_hash_tree=*/true, cells.data());
         for (u32 ci = 0; ci < cells.size(); ++ci) {
           if (cells[ci] != 0) emit.emit(ci, cells[ci]);
         }
       };
       job.distributed_cache_bytes =
-          t->serialized_bytes() + pair_index_bytes(trees, use_hash_tree);
+          t->serialized_bytes() +
+          pair_index_bytes(trees, /*use_hash_tree=*/true);
       return runner.run(job, input_path, out);
     };
 

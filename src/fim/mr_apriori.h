@@ -7,9 +7,9 @@
 //
 // The paper notes all MapReduce implementations of Apriori share this
 // per-iteration I/O structure, so one baseline represents the class.
-// Counting inside a job follows YafimOptions' count modes: the paper's
-// per-record hash-tree probe under kItemsetKey, one dense per-split kernel
-// call (fim/count_core.h) under the default kCandidateId.
+// Counting inside a job k >= 2 takes YAFIM's default dense path: each map
+// split is counted by one call of the per-split kernel (fim/count_core.h),
+// so the YAFIM-vs-MRApriori comparison prices the same counting work.
 #pragma once
 
 #include <string>
@@ -30,19 +30,14 @@ struct MrAprioriOptions {
   /// simulated core, one reducer per node).
   u32 num_mappers = 0;
   u32 num_reducers = 0;
-  /// Candidate probing structure (matches YafimOptions for fair compares).
-  bool use_hash_tree = true;
+  /// Candidate tree shape (matches YafimOptions for fair compares). Jobs
+  /// k >= 2 count each map split through the same per-split kernel as
+  /// YAFIM (pair index for C2, bitmap AND+popcount otherwise), emit the
+  /// nonzero (candidate_id, count) cells, and map survivors back through
+  /// the mapper-side tree in the reducer. MapReduce has no cross-job
+  /// cache, so the split's bitmap index is rebuilt by every job.
   u32 branching = 0;  // 0 = auto (HashTree::default_branching)
   u32 leaf_capacity = 16;
-  /// Counting-shuffle key for jobs k >= 2 (matches YafimOptions so the
-  /// YAFIM-vs-MRApriori comparison stays apples-to-apples): kItemsetKey
-  /// emits (itemset, 1) per hash-tree hit; kCandidateId counts each map
-  /// split through the same per-split kernel as YAFIM (pair index for C2,
-  /// bitmap AND+popcount otherwise, fim/count_core.h), emits the nonzero
-  /// (candidate_id, count) cells, and maps survivors back through the
-  /// mapper-side tree in the reducer. MapReduce has no cross-job cache, so
-  /// the split's bitmap index is rebuilt by every job.
-  CountMode count_mode = CountMode::kCandidateId;
   /// How the candidate tree reaches the mappers when it outgrows the
   /// executor-memory budget (matches YafimOptions): kAuto localizes the
   /// whole tree through the distributed cache while it fits and falls back

@@ -17,6 +17,11 @@ namespace yafim::fim {
 
 namespace {
 
+/// Tree shape of the local mines and the verification batch: auto fan-out
+/// (HashTree::default_branching) and leaves of 16, as in YafimOptions.
+constexpr u32 kTreeBranching = 0;
+constexpr u32 kTreeLeafCapacity = 16;
+
 /// Identity hash for sample ids: sample s lands in reduce partition
 /// s % num_samples of the gather shuffle, so each local-mine task owns
 /// whole samples.
@@ -160,15 +165,11 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
                     .named("twophase:tagged");
   const double local_support = options.min_support * relax;
   const bool with_border = !disjoint;
-  const bool use_hash_tree = options.use_hash_tree;
-  const u32 branching = options.branching;
-  const u32 leaf_capacity = options.leaf_capacity;
   const std::vector<LocalResult> locals =
       tagged
           .group_by_key(num_samples, SampleIdHash{}, "twophase:gather")
           .map_partitions(
-              [universe, local_support, with_border, use_hash_tree, branching,
-               leaf_capacity](
+              [universe, local_support, with_border](
                   const std::vector<std::pair<u32, std::vector<Transaction>>>&
                       part) {
                 std::vector<LocalResult> out;
@@ -182,9 +183,8 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
                   // The relaxed local threshold goes through the same ceil
                   // helper as every global threshold (fim/dataset.h).
                   opt.min_count = min_count_ceil(local_support, txns.size());
-                  opt.use_hash_tree = use_hash_tree;
-                  opt.branching = branching;
-                  opt.leaf_capacity = leaf_capacity;
+                  opt.branching = kTreeBranching;
+                  opt.leaf_capacity = kTreeLeafCapacity;
                   const MiningRun mined = apriori_mine(sample, opt);
                   // apriori_mine runs outside the engine's work meter;
                   // charge one sample scan per level as its task cost.
@@ -259,7 +259,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   // unordered_map's iteration order.
   for (auto& level : by_size) std::sort(level.begin(), level.end());
   const CandidateTrees batch = build_candidate_trees(
-      std::move(by_size), options.branching, options.leaf_capacity);
+      std::move(by_size), kTreeBranching, kTreeLeafCapacity);
   {
     sim::StageRecord stage;
     stage.label = "twophase:union+buildHashTree";
@@ -278,12 +278,10 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
       parse_stage("verify:recompute lineage");
     }
     CountCoreOptions count_opt;
-    count_opt.count_mode = options.count_mode;
-    count_opt.use_hash_tree = options.use_hash_tree;
+    count_opt.count_mode = CountMode::kItemsetKey;
     count_opt.partitioned = partitioned;
-    count_opt.broadcast_shards = options.broadcast_shards;
-    count_opt.branching = options.branching;
-    count_opt.leaf_capacity = options.leaf_capacity;
+    count_opt.branching = kTreeBranching;
+    count_opt.leaf_capacity = kTreeLeafCapacity;
     count_opt.kmin = 1;  // the batch spans every level, singletons included
     count_opt.min_count = min_count;
     count_opt.pass_name = "verify";

@@ -12,9 +12,12 @@
 //     from the same candidate generator the exact miners use.
 //   Phase 2 (global verify): the union of all locally frequent itemsets
 //     and borders is counted once against the full dataset through the
-//     shared counting core (fim/count_core.h), so both CountModes,
-//     the partitioned broadcast fallback and the plan linter apply
-//     unchanged. Survivors at MinSup are reported with exact supports.
+//     shared counting core (fim/count_core.h), so the partitioned
+//     broadcast fallback and the plan linter apply unchanged. It counts
+//     through the itemset-keyed tree walk: each sample joins its own L1,
+//     so the union's C2 is in general incomplete and gets no PairIndex,
+//     and on T10I4D100K the dense path's per-task bitmap costs more than
+//     the walk. Survivors at MinSup are reported with exact supports.
 //
 // Exactness (Toivonen's guarantee): if some sample has *no* negative-
 // border itemset globally frequent, every globally frequent itemset was
@@ -68,13 +71,8 @@ struct SamplingOptions {
   /// Partitions for the staged dataset; 0 = ctx.default_partitions().
   u32 partitions = 0;
   bool cache_transactions = true;
-  /// Counting-path knobs, passed through to fim/count_core.h unchanged.
-  bool use_hash_tree = true;
-  CountMode count_mode = CountMode::kItemsetKey;
+  /// How the verification batch reaches the workers (fim/count_core.h).
   BroadcastMode broadcast_mode = BroadcastMode::kAuto;
-  u32 broadcast_shards = 0;
-  u32 branching = 0;  // 0 = auto (HashTree::default_branching)
-  u32 leaf_capacity = 16;
 };
 
 struct SamplingRun {

@@ -31,6 +31,12 @@ using SupportMap =
 using ItemsetSet =
     std::unordered_set<Itemset, fim::ItemsetHash, fim::ItemsetEq>;
 
+/// Shape of the candidate trees: auto fan-out (HashTree::default_branching)
+/// and leaves of 32, twice YafimOptions' 16. At 16, every T10I4D100K batch
+/// of bench_ablation's stream (scale 0.1) priced 0.002-0.005 sim s higher.
+constexpr u32 kTreeBranching = 0;
+constexpr u32 kTreeLeafCapacity = 32;
+
 bool itemset_less(const Itemset& a, const Itemset& b) {
   if (a.size() != b.size()) return a.size() < b.size();
   return a < b;
@@ -59,21 +65,16 @@ class StreamingMiner {
     YAFIM_CHECK(options_.num_batches > 0, "stream needs at least one batch");
     const std::vector<u8> raw = source_db.serialize();
     // The fingerprint folds in every knob that shapes per-batch state --
-    // window/batch parameters, counting + broadcast mode, backpressure
-    // ladder -- so a snapshot never resumes a differently-shaped stream.
+    // window/batch parameters, broadcast mode, backpressure ladder -- so a
+    // snapshot never resumes a differently-shaped stream.
     ByteWriter cfg;
     cfg.write_double(options_.min_support);
     cfg.write_u64(options_.num_batches);
     cfg.write_double(options_.source.window_s);
     cfg.write_double(options_.source.ingest_rate);
     cfg.write_u64(options_.source.seed);
-    cfg.write_u32(static_cast<u32>(options_.count_mode));
     cfg.write_u32(static_cast<u32>(options_.broadcast_mode));
-    cfg.write_u32(options_.use_hash_tree ? 1 : 0);
-    cfg.write_u32(options_.branching);
-    cfg.write_u32(options_.leaf_capacity);
     cfg.write_u32(options_.partitions);
-    cfg.write_u32(options_.broadcast_shards);
     cfg.write_double(options_.backpressure.widen_threshold);
     cfg.write_double(options_.backpressure.relax_threshold);
     cfg.write_u32(options_.backpressure.max_window_factor);
@@ -383,7 +384,8 @@ class StreamingMiner {
   }
 
   /// Count a batch of candidate levels against `transactions` through the
-  /// shared core, min_count = 1. Caller owns merging the result.
+  /// shared core's dense path, min_count = 1. Caller owns merging the
+  /// result.
   std::vector<CountPair> count_over(engine::RDD<Transaction>& transactions,
                                     std::vector<std::vector<Itemset>> levels,
                                     const std::string& pass_name) {
@@ -391,7 +393,7 @@ class StreamingMiner {
       std::sort(level.begin(), level.end(), itemset_less);
     }
     const fim::CandidateTrees cand = fim::build_candidate_trees(
-        std::move(levels), options_.branching, options_.leaf_capacity);
+        std::move(levels), kTreeBranching, kTreeLeafCapacity);
     u32 kmin = ~0u;
     for (const fim::HashTree& tree : *cand.trees) {
       kmin = std::min(kmin, tree.k());
@@ -402,12 +404,10 @@ class StreamingMiner {
         fim::use_partitioned_store(ctx_, options_.broadcast_mode, cand.bytes);
 
     fim::CountCoreOptions opt;
-    opt.count_mode = options_.count_mode;
-    opt.use_hash_tree = options_.use_hash_tree;
+    opt.count_mode = fim::CountMode::kCandidateId;
     opt.partitioned = partitioned;
-    opt.broadcast_shards = options_.broadcast_shards;
-    opt.branching = options_.branching;
-    opt.leaf_capacity = options_.leaf_capacity;
+    opt.branching = kTreeBranching;
+    opt.leaf_capacity = kTreeLeafCapacity;
     opt.kmin = std::max<u32>(kmin, 2);
     opt.min_count = 1;
     opt.pass_name = pass_name;

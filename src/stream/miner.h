@@ -1,8 +1,8 @@
 // Streaming micro-batch frequent-itemset mining over minispark.
 //
 // A StreamingMiner consumes a deterministic windowed TransactionSource and
-// maintains L1/Lk incrementally: each micro-batch is counted once (either
-// CountMode, through the shared fim/count_core.h job), the per-batch
+// maintains L1/Lk incrementally: each micro-batch is counted once (dense
+// candidate ids, through the shared fim/count_core.h job), the per-batch
 // counts are merged into running supports, and candidates are re-generated
 // and re-verified over the full ingested history only when an item or
 // itemset crosses MinSup in either direction. Every batch boundary writes a
@@ -87,17 +87,10 @@ struct StreamOptions {
   SourceOptions source;
   BackpressureOptions backpressure;
 
-  // Counting configuration -- same semantics as YafimOptions.
-  fim::CountMode count_mode = fim::CountMode::kItemsetKey;
+  /// How candidate trees reach the workers -- same semantics as
+  /// YafimOptions. Counting itself always takes the dense path.
   fim::BroadcastMode broadcast_mode = fim::BroadcastMode::kAuto;
-  bool use_hash_tree = true;
-  u32 branching = 0;  ///< 0 = auto (HashTree::default_branching)
-  /// Twice YafimOptions' 16: on MushRoom's small per-batch trees the extra
-  /// leaves a capacity of 16 splits off cost more probe work than they
-  /// save, in every map-combine stage of the stream.
-  u32 leaf_capacity = 32;
-  u32 partitions = 0;        ///< 0 = ctx.default_partitions()
-  u32 broadcast_shards = 0;  ///< 0 = ctx.default_partitions()
+  u32 partitions = 0;  ///< 0 = ctx.default_partitions()
 
   /// Snapshot store; null disables checkpointing (and resume).
   fim::CheckpointStore* checkpoint = nullptr;

@@ -3,9 +3,10 @@
 // The dense candidate-id path (CountMode::kCandidateId: pair kernel for a
 // complete C2, task-local bitmap AND+popcount for every other tree) must be
 // an exact drop-in for the paper-faithful itemset-keyed path: bit-identical
-// FrequentItemsets across pass batching, fault/corruption injection,
-// checkpoint resume and both engines, with mode-invariant observability
-// counters (candidate generation, broadcast/DFS traffic) agreeing as well.
+// FrequentItemsets across pass batching, fault/corruption injection and
+// checkpoint resume, with mode-invariant observability counters (candidate
+// generation, broadcast/DFS traffic) agreeing as well. MRApriori, which
+// counts only through the dense path, is checked against FP-Growth.
 // Also covers both dense kernels against the hash-tree probe, the
 // sum_arrays RDD action the dense path is built on and its sparse wire
 // format, the adversarial-hash reduce bucket case, and the stage-pricing
@@ -196,7 +197,7 @@ HashTree c2_tree(const TransactionDB& db) {
                   defaults.leaf_capacity);
 }
 
-TEST(CountModes, MrAprioriBitIdenticalAcrossModes) {
+TEST(CountModes, MrAprioriDensePathMatchesFpGrowth) {
   // The second input's C2 is a complete pair set (pair kernel) and its
   // later levels are not (bitmap), so one dense run reaches both kernels.
   const TransactionDB inputs[] = {random_db(16, 250, 0.35, 42),
@@ -204,18 +205,14 @@ TEST(CountModes, MrAprioriBitIdenticalAcrossModes) {
   ASSERT_NE(c2_tree(inputs[1]).pair_index(), nullptr);
   for (const TransactionDB& db : inputs) {
     const auto reference = fp_growth_mine(db, 0.2);
-    for (CountMode mode : kAllModes) {
-      engine::Context ctx(small_cluster());
-      simfs::SimFS fs(ctx.cluster());
-      MrAprioriOptions opt;
-      opt.min_support = 0.2;
-      opt.count_mode = mode;
-      const auto run = mr_apriori_mine(ctx, fs, db, opt);
-      EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets))
-          << count_mode_name(mode);
-      if (&db == &inputs[1]) {
-        EXPECT_GE(run.passes.size(), 3u);
-      }
+    engine::Context ctx(small_cluster());
+    simfs::SimFS fs(ctx.cluster());
+    MrAprioriOptions opt;
+    opt.min_support = 0.2;
+    const auto run = mr_apriori_mine(ctx, fs, db, opt);
+    EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
+    if (&db == &inputs[1]) {
+      EXPECT_GE(run.passes.size(), 3u);
     }
   }
 }

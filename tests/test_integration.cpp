@@ -330,12 +330,10 @@ auto yafim_case(fim::CountMode mode, fim::BroadcastMode broadcast =
   };
 }
 
-auto mr_apriori_case(fim::CountMode mode, fim::BroadcastMode broadcast =
-                                          fim::BroadcastMode::kAuto) {
-  return [mode, broadcast](engine::Context& ctx, simfs::SimFS& fs,
-                           const fim::TransactionDB& db, double sup) {
+auto mr_apriori_case(fim::BroadcastMode broadcast) {
+  return [broadcast](engine::Context& ctx, simfs::SimFS& fs,
+                     const fim::TransactionDB& db, double sup) {
     auto opt = with_support<fim::MrAprioriOptions>(sup);
-    opt.count_mode = mode;
     opt.broadcast_mode = broadcast;
     return fim::mr_apriori_mine(ctx, fs, db, opt);
   };
@@ -516,43 +514,8 @@ INSTANTIATE_TEST_SUITE_P(
              "pass9:count:map-combine", "pass9:count:reduce",
              "pass9:materialize"}},
         PricingCase{
-            "MrAprioriItemsetKey",
-            mr_apriori_case(fim::CountMode::kItemsetKey),
-            0.0,
-            {{1, 23, 23, 22.240777471920573},
-             {2, 253, 118, 22.249247575556936},
-             {3, 313, 179, 22.254368495859968},
-             {4, 243, 227, 22.252168792526632},
-             {5, 254, 241, 22.253675480300416},
-             {6, 168, 164, 22.249163513132693},
-             {7, 59, 55, 22.243053465253908},
-             {8, 9, 9, 22.239991056162996},
-             {9, 1, 1, 22.23956108676906}},
-            {"mrapriori:job1:startup", "mrapriori:job1:map",
-             "mrapriori:job1:reduce", "mrapriori:driver read L1",
-             "mrapriori:ap_gen L2", "mrapriori:job2:startup",
-             "mrapriori:job2:map", "mrapriori:job2:reduce",
-             "mrapriori:driver read L2", "mrapriori:ap_gen L3",
-             "mrapriori:job3:startup", "mrapriori:job3:map",
-             "mrapriori:job3:reduce", "mrapriori:driver read L3",
-             "mrapriori:ap_gen L4", "mrapriori:job4:startup",
-             "mrapriori:job4:map", "mrapriori:job4:reduce",
-             "mrapriori:driver read L4", "mrapriori:ap_gen L5",
-             "mrapriori:job5:startup", "mrapriori:job5:map",
-             "mrapriori:job5:reduce", "mrapriori:driver read L5",
-             "mrapriori:ap_gen L6", "mrapriori:job6:startup",
-             "mrapriori:job6:map", "mrapriori:job6:reduce",
-             "mrapriori:driver read L6", "mrapriori:ap_gen L7",
-             "mrapriori:job7:startup", "mrapriori:job7:map",
-             "mrapriori:job7:reduce", "mrapriori:driver read L7",
-             "mrapriori:ap_gen L8", "mrapriori:job8:startup",
-             "mrapriori:job8:map", "mrapriori:job8:reduce",
-             "mrapriori:driver read L8", "mrapriori:ap_gen L9",
-             "mrapriori:job9:startup", "mrapriori:job9:map",
-             "mrapriori:job9:reduce", "mrapriori:driver read L9"}},
-        PricingCase{
             "MrAprioriCandidateId",
-            mr_apriori_case(fim::CountMode::kCandidateId),
+            mr_apriori_case(fim::BroadcastMode::kAuto),
             0.0,
             {{1, 23, 23, 22.240777471920573},
              {2, 253, 118, 22.246542584845873},
@@ -587,8 +550,7 @@ INSTANTIATE_TEST_SUITE_P(
              "mrapriori:job9:reduce", "mrapriori:driver read L9"}},
         PricingCase{
             "MrAprioriPartitioned",
-            mr_apriori_case(fim::CountMode::kCandidateId,
-                            fim::BroadcastMode::kPartitioned),
+            mr_apriori_case(fim::BroadcastMode::kPartitioned),
             0.0,
             {{1, 23, 23, 22.240777471920573},
              {2, 253, 118, 44.48562499656842},

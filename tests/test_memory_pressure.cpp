@@ -205,21 +205,16 @@ TEST(MemoryPressure, MrAprioriPartitionedSubJobsBitIdentical) {
   ref_opt.min_support = 0.2;
   const auto reference = run_yafim(db, ref_opt);
 
-  for (CountMode mode : kAllModes) {
-    auto copts = small_cluster();
-    copts.cluster.executor_memory_bytes = 2048;
-    engine::Context ctx(copts);
-    simfs::SimFS fs(ctx.cluster());
-    MrAprioriOptions opt;
-    opt.min_support = 0.2;
-    opt.count_mode = mode;
-    opt.broadcast_mode = BroadcastMode::kAuto;
-    const auto run = mr_apriori_mine(ctx, fs, db, opt);
-    EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets))
-        << count_mode_name(mode);
-    EXPECT_GT(ctx.memory_budget().broadcast_fallbacks(), 0u)
-        << count_mode_name(mode);
-  }
+  auto copts = small_cluster();
+  copts.cluster.executor_memory_bytes = 2048;
+  engine::Context ctx(copts);
+  simfs::SimFS fs(ctx.cluster());
+  MrAprioriOptions opt;
+  opt.min_support = 0.2;
+  opt.broadcast_mode = BroadcastMode::kAuto;
+  const auto run = mr_apriori_mine(ctx, fs, db, opt);
+  EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
+  EXPECT_GT(ctx.memory_budget().broadcast_fallbacks(), 0u);
 }
 
 // ---- bit-identity: shuffle spill ----------------------------------------

@@ -1,7 +1,7 @@
 // Streaming miner tests: source determinism, the snapshot codec's damage
 // discipline, the backpressure ladder, and the exactly-once matrix -- a
-// kill at every phase of a mid-stream batch, across both CountModes,
-// with and without memory-pressure degradation engaged, each resumed run
+// kill at every phase of a mid-stream batch, with and without
+// memory-pressure degradation engaged, each resumed run
 // required to be bit-identical with the uninterrupted one (and the final
 // output exact against sequential Apriori over the ingested history).
 #include <gtest/gtest.h>
@@ -323,38 +323,16 @@ TEST(Backpressure, OverloadedStreamRaisesSlackEmitsYL006AndStaysExact) {
 
 TEST(StreamMiner, MatchesSequentialAprioriOverIngestedHistory) {
   const auto db = random_db(14, 160, 0.4, 11);
-  for (fim::CountMode mode :
-       {fim::CountMode::kItemsetKey, fim::CountMode::kCandidateId}) {
-    StreamOptions opt = small_stream();
-    opt.count_mode = mode;
-    const StreamResult result = run_stream(db, opt);
-    ASSERT_GT(result.itemsets.total(), 0u);
+  const StreamOptions opt = small_stream();
+  const StreamResult result = run_stream(db, opt);
+  ASSERT_GT(result.itemsets.total(), 0u);
 
-    const auto history = ingested_history(db, opt, result);
-    EXPECT_EQ(history.size(), result.total_transactions);
-    fim::AprioriOptions sopt;
-    sopt.min_support = opt.min_support;
-    const auto reference = fim::apriori_mine(history, sopt);
-    EXPECT_TRUE(result.itemsets.same_itemsets(reference.itemsets))
-        << fim::count_mode_name(mode);
-  }
-}
-
-TEST(StreamMiner, CountModesBitIdenticalPerBatch) {
-  const auto db = random_db(14, 160, 0.4, 12);
-  StreamOptions opt = small_stream();
-  const StreamResult faithful = run_stream(db, opt);
-  StreamOptions dopt = small_stream();
-  dopt.count_mode = fim::CountMode::kCandidateId;
-  const StreamResult run = run_stream(db, dopt);
-  EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets));
-  ASSERT_EQ(run.batches.size(), faithful.batches.size());
-  for (size_t i = 0; i < run.batches.size(); ++i) {
-    EXPECT_EQ(run.batches[i].transactions, faithful.batches[i].transactions);
-    EXPECT_EQ(run.batches[i].new_candidates,
-              faithful.batches[i].new_candidates)
-        << "batch " << i + 1;
-  }
+  const auto history = ingested_history(db, opt, result);
+  EXPECT_EQ(history.size(), result.total_transactions);
+  fim::AprioriOptions sopt;
+  sopt.min_support = opt.min_support;
+  const auto reference = fim::apriori_mine(history, sopt);
+  EXPECT_TRUE(result.itemsets.same_itemsets(reference.itemsets));
 }
 
 // ---- exactly-once kill matrix ------------------------------------------
@@ -362,36 +340,30 @@ TEST(StreamMiner, CountModesBitIdenticalPerBatch) {
 void kill_resume_matrix(engine::Context::Options copts,
                         const std::string& tag) {
   const auto db = random_db(14, 160, 0.4, 13);
-  for (fim::CountMode mode :
-       {fim::CountMode::kItemsetKey, fim::CountMode::kCandidateId}) {
-    StreamOptions opt = small_stream();
-    opt.count_mode = mode;
-    const StreamResult clean = run_stream(db, opt, copts);
+  const StreamOptions opt = small_stream();
+  const StreamResult clean = run_stream(db, opt, copts);
 
-    for (u32 phase = 0; phase < kNumStreamPhases; ++phase) {
-      fim::DirCheckpointStore store(fresh_dir(
-          "stream_kill_" + tag + "_" + fim::count_mode_name(mode) + "_" +
-          std::to_string(phase)));
-      StreamOptions kopt = opt;
-      kopt.checkpoint = &store;
-      kopt.kill_batch = 4;
-      kopt.kill_phase = phase;
-      EXPECT_THROW(run_stream(db, kopt, copts), StreamKilledError);
+  for (u32 phase = 0; phase < kNumStreamPhases; ++phase) {
+    fim::DirCheckpointStore store(
+        fresh_dir("stream_kill_" + tag + "_" + std::to_string(phase)));
+    StreamOptions kopt = opt;
+    kopt.checkpoint = &store;
+    kopt.kill_batch = 4;
+    kopt.kill_phase = phase;
+    EXPECT_THROW(run_stream(db, kopt, copts), StreamKilledError);
 
-      StreamOptions ropt = opt;
-      ropt.checkpoint = &store;
-      const StreamResult resumed = run_stream(db, ropt, copts);
-      EXPECT_EQ(resumed.resumed_batch,
-                phase == static_cast<u32>(StreamPhase::kBoundary) ? 4u : 3u);
-      expect_identical(clean, resumed,
-                       std::string(fim::count_mode_name(mode)) + " phase " +
-                           stream_phase_name(StreamPhase{phase}) + " " +
-                           tag);
-    }
+    StreamOptions ropt = opt;
+    ropt.checkpoint = &store;
+    const StreamResult resumed = run_stream(db, ropt, copts);
+    EXPECT_EQ(resumed.resumed_batch,
+              phase == static_cast<u32>(StreamPhase::kBoundary) ? 4u : 3u);
+    expect_identical(clean, resumed,
+                     std::string("phase ") +
+                         stream_phase_name(StreamPhase{phase}) + " " + tag);
   }
 }
 
-TEST(StreamExactlyOnce, KillAtEveryPhaseEveryModeResumesBitIdentical) {
+TEST(StreamExactlyOnce, KillAtEveryPhaseResumesBitIdentical) {
   kill_resume_matrix(small_cluster(), "plain");
 }
 
